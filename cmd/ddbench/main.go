@@ -1,13 +1,14 @@
-// Command ddbench regenerates the paper's tables and figures on the
-// simulated testbed. Each experiment prints the rows/series the paper
-// reports.
+// Command ddbench regenerates the paper's tables and figures, and the
+// extension studies, on the simulated testbed. Each experiment prints the
+// rows/series the paper reports.
 //
 // Usage:
 //
 //	ddbench [-quick] [-j N] [-warmup DUR] [-measure DUR] <experiment>...
 //	ddbench all
 //
-// Experiments: table1 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
+// The experiments are harness.Experiments, in `ddbench all` order; the
+// usage message (ddbench -h) lists their names.
 package main
 
 import (
@@ -25,13 +26,6 @@ import (
 	"daredevil/internal/sim"
 	"daredevil/internal/walltime"
 )
-
-var experiments = []string{
-	"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-	"fig10", "fig11", "fig12", "fig13", "fig14",
-	"ext-sched", "ext-wrr", "ext-poll", "ext-virtio", "ext-webapp",
-	"ext-gc", "ext-fault",
-}
 
 func main() { os.Exit(realMain()) }
 
@@ -124,7 +118,7 @@ func realMain() int {
 		return 2
 	}
 	if len(args) == 1 && args[0] == "all" {
-		args = experiments
+		args = harness.ExperimentNames()
 	}
 	for _, dir := range []string{*svgDir, *jsonDir} {
 		if dir == "" {
@@ -224,18 +218,17 @@ type svgWriter interface {
 	WriteSVG(io.Writer) error
 }
 
-// runWithSVG runs the experiment and, when dir is set and the result can
-// draw itself, writes <name>.svg there too (kept for tests).
-func runWithSVG(w io.Writer, name string, sc harness.Scale, dir string) error {
-	return runExport(w, name, sc, dir, "")
-}
-
-// runExport runs the experiment and optionally writes SVG and JSON files.
+// runExport runs the experiment, prints its rows, and optionally writes
+// <name>.svg (when the result can draw itself) and <name>.json files.
 func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir string) error {
-	res, err := runResult(w, name, sc)
-	if err != nil {
-		return err
+	e, ok := harness.LookupExperiment(name)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (want one of %v)", name, harness.ExperimentNames())
 	}
+	sw := walltime.Start()
+	res := e.Run(sc)
+	res.WriteText(w)
+	fmt.Fprintf(w, "[%s done in %v]\n", name, sw.Elapsed().Round(time.Millisecond))
 	if svgDir != "" {
 		if sw, ok := res.(svgWriter); ok {
 			path := filepath.Join(svgDir, name+".svg")
@@ -267,70 +260,11 @@ func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir strin
 	return nil
 }
 
-// run executes one experiment and prints its rows (kept for tests).
-func run(w io.Writer, name string, sc harness.Scale) error {
-	_, err := runResult(w, name, sc)
-	return err
-}
-
-// textWriter is implemented by every experiment result.
-type textWriter interface {
-	WriteText(io.Writer)
-}
-
-func runResult(w io.Writer, name string, sc harness.Scale) (any, error) {
-	sw := walltime.Start()
-	var res textWriter
-	switch name {
-	case "table1":
-		res = harness.RunTable1()
-	case "fig2":
-		res = harness.RunFig2(sc)
-	case "fig6":
-		res = harness.RunFig6(sc)
-	case "fig7":
-		res = harness.RunFig7(sc)
-	case "fig8":
-		res = harness.RunFig8(sc)
-	case "fig9":
-		res = harness.RunFig9(sc)
-	case "fig10":
-		res = harness.RunFig10(sc)
-	case "fig11":
-		res = harness.RunFig11(sc)
-	case "fig12":
-		res = harness.RunFig12(sc)
-	case "fig13":
-		res = harness.RunFig13(sc)
-	case "fig14":
-		res = harness.RunFig14(sc)
-	case "ext-sched":
-		res = harness.RunExtSchedulers(sc)
-	case "ext-wrr":
-		res = harness.RunExtWRR(sc)
-	case "ext-poll":
-		res = harness.RunExtPolling(sc)
-	case "ext-virtio":
-		res = harness.RunExtVirtio(sc)
-	case "ext-webapp":
-		res = harness.RunExtWebapp(sc)
-	case "ext-gc":
-		res = harness.RunExtGC(sc)
-	case "ext-fault":
-		res = harness.RunExtFault(harness.DefaultFaultSeed, sc)
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (want one of %v)", name, experiments)
-	}
-	res.WriteText(w)
-	fmt.Fprintf(w, "[%s done in %v]\n", name, sw.Elapsed().Round(time.Millisecond))
-	return res, nil
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, `ddbench regenerates the Daredevil paper's tables and figures.
 
 usage: ddbench [-quick] [-j N] [-warmup DUR] [-measure DUR] <experiment>...
 experiments: %v (or "all")
-`, experiments)
+`, harness.ExperimentNames())
 	flag.PrintDefaults()
 }

@@ -16,14 +16,14 @@ var testScale = harness.Scale{Warmup: 10 * sim.Millisecond, Measure: 40 * sim.Mi
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "bogus", testScale); err == nil {
+	if err := runExport(&buf, "bogus", testScale, "", ""); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
 
 func TestRunTable1Output(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "table1", testScale); err != nil {
+	if err := runExport(&buf, "table1", testScale, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -38,11 +38,11 @@ func TestRunEveryExperimentDispatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	for _, name := range experiments {
+	for _, name := range harness.ExperimentNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := run(&buf, name, testScale); err != nil {
+			if err := runExport(&buf, name, testScale, "", ""); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
@@ -56,7 +56,7 @@ func TestSVGOutput(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	for _, name := range []string{"fig2", "fig6", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig8"} {
-		if err := runWithSVG(&buf, name, testScale, dir); err != nil {
+		if err := runExport(&buf, name, testScale, dir, ""); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, name+".svg"))
@@ -72,7 +72,7 @@ func TestSVGOutput(t *testing.T) {
 func TestSVGSkippedForTextOnlyResults(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	if err := runWithSVG(&buf, "table1", testScale, dir); err != nil {
+	if err := runExport(&buf, "table1", testScale, dir, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "table1.svg")); err == nil {

@@ -163,7 +163,6 @@ func DefaultTTenantConfig(name string, core int) JobConfig {
 // (YCSB-driven KV, mailserver).
 type Simulation struct {
 	cell *harness.Cell
-	apps []app
 }
 
 // NewSimulation builds a simulated machine running the given stack.
@@ -218,11 +217,10 @@ const (
 	OpDelete = workload.OpDelete
 )
 
-// KVApp is a RocksDB-like store driven by YCSB clients inside a Simulation.
-type KVApp struct {
-	kv      *workload.KV
-	drivers []*workload.YCSB
-}
+// KVApp is a RocksDB-like store driven by YCSB clients inside a Simulation:
+// OpLatency reports per-operation latency since warmup, Ops the completed
+// client operations.
+type KVApp = harness.KVApp
 
 // AddYCSB attaches a KV store (foreground on core, background flush thread
 // on the next core) driven by the given number of YCSB clients. The app
@@ -231,83 +229,23 @@ func (s *Simulation) AddYCSB(kind YCSBKind, core, clients int) *KVApp {
 	if clients <= 0 {
 		panic("daredevil: AddYCSB needs at least one client")
 	}
-	cfg := workload.DefaultKVConfig("rocksdb", core)
-	kv := workload.NewKV(5000+len(s.apps)*10, cfg)
-	kv.BGTenant.Core = (core + 1) % s.cell.Env.Pool.N()
-	app := &KVApp{kv: kv}
-	for i := 0; i < clients; i++ {
-		app.drivers = append(app.drivers, workload.NewYCSB(kind, kv, 71+uint64(i)))
-	}
-	s.apps = append(s.apps, app)
+	app := harness.NewKVApp(kind, 5000+len(s.cell.Aux)*10, core,
+		(core+1)%s.cell.Env.Pool.N(), clients, 71)
+	s.cell.Aux = append(s.cell.Aux, app)
 	return app
 }
 
-// OpLatency reports the latency distribution of one operation type since
-// warmup.
-func (a *KVApp) OpLatency(op OpType) LatencySnapshot {
-	if h, ok := a.kv.OpLat[op]; ok {
-		return h.Snapshot()
-	}
-	return LatencySnapshot{}
-}
-
-// Ops reports completed client operations.
-func (a *KVApp) Ops() uint64 {
-	var n uint64
-	for _, d := range a.drivers {
-		n += d.Ops
-	}
-	return n
-}
-
-func (a *KVApp) start(env *harness.Env) {
-	a.kv.Start(env.Eng, env.Pool, env.Stack)
-	for _, d := range a.drivers {
-		d.Start(env.Eng)
-	}
-}
-
-func (a *KVApp) reset() { a.kv.ResetStats() }
-
-// MailApp is the Filebench-Mailserver workload inside a Simulation.
-type MailApp struct {
-	mail *workload.Mail
-}
+// MailApp is the Filebench-Mailserver workload inside a Simulation:
+// OpLatency reports per-operation latency since warmup (OpFsync, OpDelete,
+// or workload.OpCache).
+type MailApp = harness.MailApp
 
 // AddMailserver attaches the mailserver workload on the given core.
 func (s *Simulation) AddMailserver(core int) *MailApp {
-	app := &MailApp{mail: workload.NewMail(6000+len(s.apps)*10, workload.DefaultMailConfig("mailserver", core))}
-	s.apps = append(s.apps, app)
+	app := harness.NewMailApp(6000+len(s.cell.Aux)*10, core)
+	s.cell.Aux = append(s.cell.Aux, app)
 	return app
 }
-
-// OpLatency reports the latency distribution of one operation type since
-// warmup (OpFsync, OpDelete, or workload.OpCache).
-func (a *MailApp) OpLatency(op OpType) LatencySnapshot {
-	if h, ok := a.mail.OpLat[op]; ok {
-		return h.Snapshot()
-	}
-	return LatencySnapshot{}
-}
-
-func (a *MailApp) start(env *harness.Env) {
-	a.mail.Start(env.Eng, env.Pool, env.Stack)
-}
-
-func (a *MailApp) reset() { a.mail.ResetStats() }
-
-// app is anything startable inside a Simulation.
-type app interface {
-	start(*harness.Env)
-	reset()
-}
-
-// auxApp adapts the unexported app interface to harness.AuxApp so apps ride
-// inside the cell's run loop.
-type auxApp struct{ a app }
-
-func (x auxApp) Start(e *harness.Env) { x.a.start(e) }
-func (x auxApp) Reset()               { x.a.reset() }
 
 // SetSeedShift perturbs the random streams of every tenant added
 // afterwards, for re-running an otherwise-identical experiment with fresh
@@ -408,10 +346,6 @@ func (s *Simulation) Run(warmup, measure Duration) Result {
 	if s.cell.Ran() {
 		panic("daredevil: Simulation.Run called twice; build a new Simulation")
 	}
-	s.cell.Aux = s.cell.Aux[:0]
-	for _, a := range s.apps {
-		s.cell.Aux = append(s.cell.Aux, auxApp{a})
-	}
 	return s.cell.Run(warmup, measure)
 }
 
@@ -443,13 +377,8 @@ var (
 
 // ExperimentNames lists the reproducible paper artifacts plus the
 // extension experiments (Kyber baseline, WRR arbitration, polled
-// completion, §8.1 virtio, aged-device GC, fault injection).
-func ExperimentNames() []string {
-	return []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14",
-		"ext-sched", "ext-wrr", "ext-poll", "ext-virtio", "ext-webapp",
-		"ext-gc", "ext-fault"}
-}
+// completion, §8.1 virtio, §1 web app, aged-device GC, fault injection).
+func ExperimentNames() []string { return harness.ExperimentNames() }
 
 // DefaultFaultSeed keys the ext-fault experiment's fault RNG stream.
 const DefaultFaultSeed = harness.DefaultFaultSeed
@@ -458,96 +387,27 @@ const DefaultFaultSeed = harness.DefaultFaultSeed
 // result as JSON — the programmatic counterpart of RunExperiment for
 // consumers that post-process results.
 func RunExperimentJSON(name string, sc Scale) ([]byte, error) {
-	res, err := runExperimentResult(name, sc)
+	e, err := lookupExperiment(name)
 	if err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(res, "", "  ")
-}
-
-func runExperimentResult(name string, sc Scale) (any, error) {
-	switch name {
-	case "table1":
-		return harness.RunTable1(), nil
-	case "fig2":
-		return harness.RunFig2(sc), nil
-	case "fig6":
-		return harness.RunFig6(sc), nil
-	case "fig7":
-		return harness.RunFig7(sc), nil
-	case "fig8":
-		return harness.RunFig8(sc), nil
-	case "fig9":
-		return harness.RunFig9(sc), nil
-	case "fig10":
-		return harness.RunFig10(sc), nil
-	case "fig11":
-		return harness.RunFig11(sc), nil
-	case "fig12":
-		return harness.RunFig12(sc), nil
-	case "fig13":
-		return harness.RunFig13(sc), nil
-	case "fig14":
-		return harness.RunFig14(sc), nil
-	case "ext-sched":
-		return harness.RunExtSchedulers(sc), nil
-	case "ext-wrr":
-		return harness.RunExtWRR(sc), nil
-	case "ext-poll":
-		return harness.RunExtPolling(sc), nil
-	case "ext-virtio":
-		return harness.RunExtVirtio(sc), nil
-	case "ext-webapp":
-		return harness.RunExtWebapp(sc), nil
-	case "ext-gc":
-		return harness.RunExtGC(sc), nil
-	case "ext-fault":
-		return harness.RunExtFault(DefaultFaultSeed, sc), nil
-	}
-	return nil, fmt.Errorf("daredevil: unknown experiment %q", name)
+	return json.MarshalIndent(e.Run(sc), "", "  ")
 }
 
 // RunExperiment regenerates one paper table/figure, writing its rows to w.
 func RunExperiment(w io.Writer, name string, sc Scale) error {
-	switch name {
-	case "table1":
-		harness.RunTable1().WriteText(w)
-	case "fig2":
-		harness.RunFig2(sc).WriteText(w)
-	case "fig6":
-		harness.RunFig6(sc).WriteText(w)
-	case "fig7":
-		harness.RunFig7(sc).WriteText(w)
-	case "fig8":
-		harness.RunFig8(sc).WriteText(w)
-	case "fig9":
-		harness.RunFig9(sc).WriteText(w)
-	case "fig10":
-		harness.RunFig10(sc).WriteText(w)
-	case "fig11":
-		harness.RunFig11(sc).WriteText(w)
-	case "fig12":
-		harness.RunFig12(sc).WriteText(w)
-	case "fig13":
-		harness.RunFig13(sc).WriteText(w)
-	case "fig14":
-		harness.RunFig14(sc).WriteText(w)
-	case "ext-sched":
-		harness.RunExtSchedulers(sc).WriteText(w)
-	case "ext-wrr":
-		harness.RunExtWRR(sc).WriteText(w)
-	case "ext-poll":
-		harness.RunExtPolling(sc).WriteText(w)
-	case "ext-virtio":
-		harness.RunExtVirtio(sc).WriteText(w)
-	case "ext-webapp":
-		harness.RunExtWebapp(sc).WriteText(w)
-	case "ext-gc":
-		harness.RunExtGC(sc).WriteText(w)
-	case "ext-fault":
-		harness.RunExtFault(DefaultFaultSeed, sc).WriteText(w)
-	default:
-		return fmt.Errorf("daredevil: unknown experiment %q", name)
+	e, err := lookupExperiment(name)
+	if err != nil {
+		return err
 	}
+	e.Run(sc).WriteText(w)
 	return nil
+}
+
+func lookupExperiment(name string) (harness.Experiment, error) {
+	e, ok := harness.LookupExperiment(name)
+	if !ok {
+		return e, fmt.Errorf("daredevil: unknown experiment %q", name)
+	}
+	return e, nil
 }

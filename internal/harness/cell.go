@@ -3,7 +3,6 @@ package harness
 import (
 	"io"
 
-	"daredevil/internal/block"
 	"daredevil/internal/obs"
 	"daredevil/internal/prof"
 	"daredevil/internal/sim"
@@ -71,8 +70,12 @@ type Cell struct {
 	// Wall attributes host wall-clock time per run phase when profiling is
 	// armed (host-dependent; excluded from byte-identity artifacts).
 	Wall prof.WallProfile
-	prof *prof.Profiler
-	ran  bool
+	// start, when set, replaces Mix.StartAll: experiments with staged
+	// tenant starts (fig8's rising T-pressure, fig13's TL-first order)
+	// schedule their own.
+	start func()
+	prof  *prof.Profiler
+	ran   bool
 }
 
 // NewCell builds an empty cell on the given machine and stack.
@@ -116,12 +119,7 @@ func RunCellSpec(spec CellSpec) CellResult {
 // order (matching the historical public-API numbering, which seeds the
 // tenants' random streams).
 func (c *Cell) AddJob(cfg workload.FIOConfig) {
-	job := workload.NewJob(1000+len(c.Mix.LJobs)+len(c.Mix.TJobs), cfg)
-	if cfg.Class == block.ClassRT {
-		c.Mix.LJobs = append(c.Mix.LJobs, job)
-	} else {
-		c.Mix.TJobs = append(c.Mix.TJobs, job)
-	}
+	c.Mix.addJob(1000+len(c.Mix.LJobs)+len(c.Mix.TJobs), cfg)
 }
 
 // EnableTrace arms span capture (and the flight recorder) for up to limit
@@ -163,6 +161,13 @@ func (c *Cell) Ran() bool { return c.ran }
 // Run starts every job and aux app, warms up, measures, and aggregates. It
 // may be called once per Cell.
 func (c *Cell) Run(warmup, measure sim.Duration) CellResult {
+	res, _ := c.run(warmup, measure)
+	return res
+}
+
+// run is Run that also returns the mix aggregate, for experiments that
+// report goodput or fairness — the one warmup/measure loop in the harness.
+func (c *Cell) run(warmup, measure sim.Duration) (CellResult, MixResult) {
 	if c.ran {
 		panic("harness: Cell.Run called twice; build a new Cell")
 	}
@@ -187,7 +192,11 @@ func (c *Cell) Run(warmup, measure sim.Duration) CellResult {
 		}
 		c.Env.Obs.Start()
 	}
-	c.Mix.StartAll()
+	if c.start != nil {
+		c.start()
+	} else {
+		c.Mix.StartAll()
+	}
 	for _, a := range c.Aux {
 		a.Start(c.Env)
 	}
@@ -258,7 +267,7 @@ func (c *Cell) Run(warmup, measure sim.Duration) CellResult {
 		res.Profile = &p
 		c.Wall.Add("collect", int64(sw.Elapsed()))
 	}
-	return res
+	return res, r
 }
 
 // WriteTraceTable renders collected request timelines as an aligned phase

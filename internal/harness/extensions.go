@@ -4,12 +4,8 @@ import (
 	"io"
 	"strconv"
 
-	"daredevil/internal/block"
-	"daredevil/internal/kyber"
 	"daredevil/internal/nvme"
 	"daredevil/internal/sim"
-	"daredevil/internal/stackbase"
-	"daredevil/internal/stats"
 	"daredevil/internal/virtio"
 	"daredevil/internal/workload"
 )
@@ -21,13 +17,6 @@ import (
 
 // Kyber is the I/O-scheduler baseline stack kind (extension).
 const Kyber StackKind = "kyber"
-
-func init() {
-	// Make the extension stack constructible through the normal path.
-	extraStacks[Kyber] = func(env stackbase.Env) block.Stack {
-		return kyber.New(env, kyber.DefaultConfig())
-	}
-}
 
 // ExtSchedCell is one (stack, T-count) cell of the scheduler comparison.
 type ExtSchedCell struct {
@@ -107,23 +96,21 @@ type ExtWRRResult struct {
 
 // RunExtWRR runs Daredevil on round-robin and WRR controllers.
 func RunExtWRR(sc Scale) ExtWRRResult {
-	var res ExtWRRResult
-	for _, wrr := range []bool{false, true} {
+	counts := []int{16, 32}
+	return ExtWRRResult{Rows: RunCells(2*len(counts), func(i int) ExtWRRRow {
 		m := SVM(4)
 		name := "round-robin"
-		if wrr {
+		if i >= len(counts) {
 			m.NVMe.Arbitration = nvme.ArbWeightedRoundRobin
 			name = "weighted-rr"
 		}
-		for _, n := range []int{16, 32} {
-			r := RunMixOnce(m, DareFull, 4, n, sc)
-			res.Rows = append(res.Rows, ExtWRRRow{
-				Arbitration: name, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
-			})
+		n := counts[i%len(counts)]
+		r := RunMixOnce(m, DareFull, 4, n, sc)
+		return ExtWRRRow{
+			Arbitration: name, TCount: n,
+			Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
 		}
-	}
-	return res
+	})}
 }
 
 // WriteText renders the ablation.
@@ -156,28 +143,20 @@ type ExtPollResult struct {
 // is visible only when the device floor is µs-scale (under T-pressure the
 // ms-scale flash backlog hides it — which is itself a finding).
 func RunExtPolling(sc Scale) ExtPollResult {
-	run := func(poll bool) ExtPollRow {
-		env := NewEnv(SVM(4), DareFull)
-		if poll {
-			half := env.Dev.NumNCQ() / 2
-			for i := 0; i < half; i++ {
-				env.Dev.NCQOf(i).EnablePolling(2 * sim.Microsecond)
+	return ExtPollResult{Rows: RunCells(2, func(i int) ExtPollRow {
+		c := NewCell(SVM(4), DareFull)
+		mode := "interrupts"
+		if i == 1 {
+			mode = "polled-high-NCQs"
+			half := c.Env.Dev.NumNCQ() / 2
+			for q := 0; q < half; q++ {
+				c.Env.Dev.NCQOf(q).EnablePolling(2 * sim.Microsecond)
 			}
 		}
-		mix := NewMix(env)
-		mix.AddL(4, 0)
-		mix.StartAll()
-		env.Eng.RunUntil(sim.Time(sc.Warmup))
-		mix.ResetStats()
-		env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-		r := mix.Collect(sc.Measure)
-		mode := "interrupts"
-		if poll {
-			mode = "polled-high-NCQs"
-		}
-		return ExtPollRow{Mode: mode, Tail: r.L.P999, Avg: r.L.Mean, CPUUtil: r.CPUUtil}
-	}
-	return ExtPollResult{Rows: []ExtPollRow{run(false), run(true)}}
+		c.Mix.AddL(4, 0)
+		r := c.Run(sc.Warmup, sc.Measure)
+		return ExtPollRow{Mode: mode, Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean, CPUUtil: r.CPUUtilization}
+	})}
 }
 
 // WriteText renders the comparison.
@@ -209,7 +188,6 @@ type ExtVirtioResult struct {
 // RunExtVirtio runs 2 guest L-tenants + 8 guest T-tenants through a VM on
 // each (guest mode, host stack) combination.
 func RunExtVirtio(sc Scale) ExtVirtioResult {
-	var res ExtVirtioResult
 	combos := []struct {
 		mode virtio.GuestMode
 		host StackKind
@@ -218,36 +196,23 @@ func RunExtVirtio(sc Scale) ExtVirtioResult {
 		{virtio.GuestMixed, DareFull},
 		{virtio.GuestDecoupled, DareFull},
 	}
-	for _, cb := range combos {
-		env := NewEnv(SVM(4), cb.host)
-		vm := virtio.New(env.Eng, env.Pool, env.Stack, virtio.DefaultConfig(cb.mode, 4))
+	return ExtVirtioResult{Rows: RunCells(len(combos), func(i int) ExtVirtioRow {
+		cb := combos[i]
+		c := NewCell(SVM(4), cb.host)
 		// Guest tenants drive the VM as their "stack".
-		var lJobs, tJobs []*workload.Job
-		for i := 0; i < 2; i++ {
-			j := workload.NewJob(100+i, workload.DefaultLTenant("guest-L", i%4))
-			lJobs = append(lJobs, j)
-			j.Start(env.Eng, env.Pool, vm)
+		c.Env.Stack = virtio.New(c.Env.Eng, c.Env.Pool, c.Env.Stack, virtio.DefaultConfig(cb.mode, 4))
+		for j := 0; j < 2; j++ {
+			c.Mix.addJob(100+j, workload.DefaultLTenant("guest-L", j%4))
 		}
-		for i := 0; i < 8; i++ {
-			j := workload.NewJob(200+i, workload.DefaultTTenant("guest-T", i%4))
-			tJobs = append(tJobs, j)
-			j.Start(env.Eng, env.Pool, vm)
+		for j := 0; j < 8; j++ {
+			c.Mix.addJob(200+j, workload.DefaultTTenant("guest-T", j%4))
 		}
-		env.Eng.RunUntil(sim.Time(sc.Warmup))
-		for _, j := range append(lJobs, tJobs...) {
-			j.ResetStats()
-		}
-		env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-		var lat stats.Histogram
-		for _, j := range lJobs {
-			lat.Merge(&j.Lat)
-		}
-		res.Rows = append(res.Rows, ExtVirtioRow{
+		r := c.Run(sc.Warmup, sc.Measure)
+		return ExtVirtioRow{
 			Guest: cb.mode.String(), Host: cb.host,
-			Tail: lat.Quantile(0.999), Avg: lat.Mean(),
-		})
-	}
-	return res
+			Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean,
+		}
+	})}
 }
 
 // WriteText renders the combinations.
@@ -270,7 +235,3 @@ func (r ExtVirtioResult) Row(guest string, host StackKind) (ExtVirtioRow, bool) 
 	}
 	return ExtVirtioRow{}, false
 }
-
-// extraStacks lets extension stacks register additional kinds without
-// touching buildStack's core switch.
-var extraStacks = map[StackKind]func(stackbase.Env) block.Stack{}

@@ -125,10 +125,9 @@ func RunExtFaultCell(kind StackKind, profile FaultProfile, seed uint64, sc Scale
 		m.FTL = &fcfg
 	}
 
-	env := NewEnv(m, kind)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
-	mix.AddT(2, 0)
+	c := NewCell(m, kind)
+	c.Mix.AddL(4, 0)
+	c.Mix.AddT(2, 0)
 
 	var inWin, postWin stats.Histogram
 	var recovery sim.Duration
@@ -149,15 +148,10 @@ func RunExtFaultCell(kind StackKind, profile FaultProfile, seed uint64, sc Scale
 			}
 		}
 	}
-	for _, j := range mix.AllJobs() {
+	for _, j := range c.Mix.AllJobs() {
 		j.Observer = observe
 	}
-
-	mix.StartAll()
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	r := mix.Collect(sc.Measure)
+	res, r := c.run(sc.Warmup, sc.Measure)
 	return ExtFaultCell{
 		Kind: kind, Profile: profile,
 		LGoodKIOPS:   r.LGoodKIOPS,
@@ -167,7 +161,7 @@ func RunExtFaultCell(kind StackKind, profile FaultProfile, seed uint64, sc Scale
 		InWinP999:    inWin.Quantile(0.999),
 		PostWinP99:   postWin.Quantile(0.99),
 		RecoveryTime: recovery,
-		Recovery:     env.Recovery(),
+		Recovery:     res.Recovery,
 	}
 }
 

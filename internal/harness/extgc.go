@@ -68,36 +68,29 @@ func RunExtGCCell(kind StackKind, opPct float64, trim bool, sc Scale) ExtGCCell 
 	fcfg.OPPct = opPct
 	m.FTL = &fcfg
 
-	env := NewEnv(m, kind)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
+	c := NewCell(m, kind)
+	c.Mix.AddL(4, 0)
 	for i := 0; i < 4; i++ {
-		cfg := workload.DefaultTTenant("fio-T", i%env.Pool.N())
+		cfg := workload.DefaultTTenant("fio-T", i%c.Env.Pool.N())
 		cfg.Pattern = workload.Random
 		cfg.ReadPct = 0
 		cfg.IODepth = 4
 		if trim {
 			cfg.TrimEvery = 8
 		}
-		mix.TJobs = append(mix.TJobs, workload.NewJob(100+i, cfg))
+		c.Mix.addJob(100+i, cfg)
 	}
-	mix.StartAll()
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.FTL.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	r := mix.Collect(sc.Measure)
-	st := env.FTL.Stats()
+	r := c.Run(sc.Warmup, sc.Measure)
 	return ExtGCCell{
 		Kind: kind, OPPct: opPct, Trim: trim,
-		WA:            st.WriteAmplification(),
-		GCRuns:        st.GCRuns,
-		GCPauseP99:    env.FTL.GCPauses.Quantile(0.99),
-		ForegroundGCs: st.ForegroundGCs,
-		TrimmedPages:  st.TrimmedPages,
-		LTail:         r.L.P999,
-		LAvg:          r.L.Mean,
-		TMBps:         r.TMBps,
+		WA:            r.FTL.WriteAmplification,
+		GCRuns:        r.FTL.GCRuns,
+		GCPauseP99:    r.FTL.GCPauses.P99,
+		ForegroundGCs: r.FTL.ForegroundGCs,
+		TrimmedPages:  r.FTL.TrimmedPages,
+		LTail:         r.LTenantLatency.P999,
+		LAvg:          r.LTenantLatency.Mean,
+		TMBps:         r.TThroughputMBps,
 	}
 }
 

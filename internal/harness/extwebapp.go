@@ -29,43 +29,39 @@ type ExtWebappResult struct {
 // RunExtWebapp runs the web app (5k req/s open loop) co-located with a
 // 256 MiB / 500 ms checkpointer on each comparison stack.
 func RunExtWebapp(sc Scale) ExtWebappResult {
-	var res ExtWebappResult
-	for _, kind := range ComparisonKinds {
-		env := NewEnv(SVM(4), kind)
-
+	// The scenario needs several checkpoint periods; stretch the window
+	// accordingly.
+	measure := 4 * sc.Measure
+	if measure < 2*sim.Second {
+		measure = 2 * sim.Second
+	}
+	return ExtWebappResult{Rows: RunCells(len(ComparisonKinds), func(i int) ExtWebappRow {
+		c := NewCell(SVM(4), ComparisonKinds[i])
 		webCfg := workload.DefaultLTenant("webapp", 0)
 		webCfg.Arrival = 200 * sim.Microsecond
-		web := workload.NewJob(1, webCfg)
-		web.Start(env.Eng, env.Pool, env.Stack)
+		c.Mix.addJob(1, webCfg)
 
 		ckCfg := workload.DefaultCheckpointConfig("trainer", 0)
 		ckCfg.Size = 256 << 20
 		ckCfg.QD = 256
-		ck := workload.NewCheckpointer(2, ckCfg)
-		ck.Start(env.Eng, env.Pool, env.Stack)
+		ck := checkpointApp{workload.NewCheckpointer(2, ckCfg)}
+		c.Aux = append(c.Aux, ck)
 
-		// The scenario needs several checkpoint periods; stretch the
-		// window accordingly.
-		warm := sc.Warmup
-		measure := 4 * sc.Measure
-		if measure < 2*sim.Second {
-			measure = 2 * sim.Second
-		}
-		env.Eng.RunUntil(sim.Time(warm))
-		web.ResetStats()
-		ck.ResetStats()
-		env.Eng.RunUntil(sim.Time(warm + measure))
-
-		w := web.Lat.Snapshot()
-		res.Rows = append(res.Rows, ExtWebappRow{
-			Kind:   kind,
+		w := c.Run(sc.Warmup, measure).LTenantLatency
+		return ExtWebappRow{
+			Kind:   ComparisonKinds[i],
 			WebAvg: w.Mean, WebP99: w.P99, WebP999: w.P999,
 			CheckpointAvg: ck.Durations.Mean(),
 			Checkpoints:   ck.Completed,
-		})
-	}
-	return res
+		}
+	})}
 }
+
+// checkpointApp rides the DL trainer on a cell.
+type checkpointApp struct{ *workload.Checkpointer }
+
+func (c checkpointApp) Start(env *Env) { c.Checkpointer.Start(env.Eng, env.Pool, env.Stack) }
+func (c checkpointApp) Reset()         { c.ResetStats() }
 
 // WriteText renders the scenario rows.
 func (r ExtWebappResult) WriteText(w io.Writer) {

@@ -33,30 +33,25 @@ type Fig10Result struct {
 // RunMultiNS runs one multi-namespace cell: nsCount namespaces at a 1:3
 // L:T ratio, 2 L-tenants per L-ns and 8 T-tenants per T-ns, on 4 cores.
 func RunMultiNS(kind StackKind, nsCount int, sc Scale) Fig10Cell {
-	env := NewEnv(SVM(4), kind)
-	env.CreateNamespaces(nsCount)
-	mix := NewMix(env)
+	c := NewCell(SVM(4), kind)
+	c.Env.CreateNamespaces(nsCount)
 	lNS := nsCount / 4
 	if lNS < 1 {
 		lNS = 1
 	}
 	for ns := 0; ns < nsCount; ns++ {
 		if ns < lNS {
-			mix.AddL(2, ns)
+			c.Mix.AddL(2, ns)
 		} else {
-			mix.AddT(8, ns)
+			c.Mix.AddT(8, ns)
 		}
 	}
-	mix.StartAll()
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	r := mix.Collect(sc.Measure)
+	r := c.Run(sc.Warmup, sc.Measure)
 	return Fig10Cell{
 		Kind: kind, Namespaces: nsCount,
-		LTenants: len(mix.LJobs), TTenants: len(mix.TJobs),
-		Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
-		LOps: r.L.Count,
+		LTenants: len(c.Mix.LJobs), TTenants: len(c.Mix.TJobs),
+		Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean, TMBps: r.TThroughputMBps,
+		LOps: r.LTenantLatency.Count,
 	}
 }
 

@@ -49,74 +49,36 @@ func RunFig12(sc Scale) Fig12Result {
 	}
 	return Fig12Result{Cells: RunCells(len(specs), func(i int) Fig12Cell {
 		s := specs[i]
+		// The §7.4 background pressure: 8 streaming T-tenants.
+		c := NewCell(SVM(4), s.kind)
+		c.Mix.AddT(8, 0)
 		if s.mail {
-			return runMailCell(s.kind, sc)
+			mail := NewMailApp(2000, 0)
+			c.Aux = append(c.Aux, mail)
+			c.Run(sc.Warmup, sc.Measure)
+			return Fig12Cell{
+				Workload: "Mailserver", Kind: s.kind,
+				Metrics: map[workload.OpType]sim.Duration{
+					workload.OpFsync:  mail.OpLatency(workload.OpFsync).Mean,
+					workload.OpDelete: mail.OpLatency(workload.OpDelete).Mean,
+				},
+				Ops: mail.mail.Ops - mail.ops0,
+			}
 		}
-		return runYCSBCell(s.kind, s.ycsb, sc)
+		// Four closed-loop clients, like YCSB's client threads.
+		kv := NewKVApp(s.ycsb, 1000, 0, 1, 4, 42)
+		c.Aux = append(c.Aux, kv)
+		c.Run(sc.Warmup, sc.Measure)
+		cell := Fig12Cell{
+			Workload: "YCSB-" + string(s.ycsb), Kind: s.kind,
+			Metrics: map[workload.OpType]sim.Duration{},
+			Ops:     kv.Ops() - kv.ops0,
+		}
+		for _, op := range ycsbHeadlineOps[s.ycsb] {
+			cell.Metrics[op] = kv.OpLatency(op).P999
+		}
+		return cell
 	})}
-}
-
-// withBackgroundT adds the §7.4 background pressure: 8 streaming T-tenants.
-func withBackgroundT(env *Env) *Mix {
-	mix := NewMix(env)
-	mix.AddT(8, 0)
-	mix.StartAll()
-	return mix
-}
-
-func runYCSBCell(kind StackKind, ycsbKind workload.YCSBKind, sc Scale) Fig12Cell {
-	env := NewEnv(SVM(4), kind)
-	withBackgroundT(env)
-	kvCfg := workload.DefaultKVConfig("rocksdb", 0)
-	kv := workload.NewKV(1000, kvCfg)
-	kv.BGTenant.Core = 1
-	kv.Start(env.Eng, env.Pool, env.Stack)
-	// Four closed-loop clients, like YCSB's client threads.
-	var drivers []*workload.YCSB
-	for i := 0; i < 4; i++ {
-		d := workload.NewYCSB(ycsbKind, kv, 42+uint64(i))
-		d.Start(env.Eng)
-		drivers = append(drivers, d)
-	}
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	kv.ResetStats()
-	var opsBefore uint64
-	for _, d := range drivers {
-		opsBefore += d.Ops
-	}
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	var opsAfter uint64
-	for _, d := range drivers {
-		opsAfter += d.Ops
-	}
-	cell := Fig12Cell{
-		Workload: "YCSB-" + string(ycsbKind), Kind: kind,
-		Metrics: map[workload.OpType]sim.Duration{},
-		Ops:     opsAfter - opsBefore,
-	}
-	for _, op := range ycsbHeadlineOps[ycsbKind] {
-		cell.Metrics[op] = kv.OpLat[op].Quantile(0.999)
-	}
-	return cell
-}
-
-func runMailCell(kind StackKind, sc Scale) Fig12Cell {
-	env := NewEnv(SVM(4), kind)
-	withBackgroundT(env)
-	mail := workload.NewMail(2000, workload.DefaultMailConfig("mailserver", 0))
-	mail.Start(env.Eng, env.Pool, env.Stack)
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mail.ResetStats()
-	opsBefore := mail.Ops
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	return Fig12Cell{
-		Workload: "Mailserver", Kind: kind,
-		Metrics: map[workload.OpType]sim.Duration{
-			workload.OpFsync:  mail.OpLat[workload.OpFsync].Mean(),
-			workload.OpDelete: mail.OpLat[workload.OpDelete].Mean(),
-		},
-		Ops: mail.Ops - opsBefore,
-	}
 }
 
 // WriteText renders the per-application panels.

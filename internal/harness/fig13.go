@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"daredevil/internal/sim"
-	"daredevil/internal/stats"
 	"daredevil/internal/workload"
 )
 
@@ -71,53 +70,33 @@ func RunFig13(sc Scale) Fig13Result {
 }
 
 func runFig13Cell(kind StackKind, nL, nTL int, fixed string, sc Scale) Fig13Cell {
-	env := NewEnv(fig13Machine(), kind)
-	mix := NewMix(env)
+	c := NewCell(fig13Machine(), kind)
+	c.Breakdown = true
+	mix := c.Mix
 	mix.AddL(nL, 0)
 	mix.AddTL(nTL, 0)
-	for _, j := range mix.LJobs {
-		j.EnableComponents()
-	}
 	// TL-tenants start first so Daredevil's NQ scheduling sees their load
 	// when assigning default NSQs to the L-tenants joining afterwards.
-	for _, j := range mix.TJobs {
-		j.Start(env.Eng, env.Pool, env.Stack)
+	c.start = func() {
+		mix.start(mix.TJobs)
+		mix.startAt(sim.Time(sc.Warmup/2), mix.LJobs)
 	}
-	lJobs := mix.LJobs
-	env.Eng.At(sim.Time(sc.Warmup/2), func() {
-		for _, j := range lJobs {
-			j.Start(env.Eng, env.Pool, env.Stack)
-		}
-	})
 	if kind == DareFull {
 		// Interleave NQ accesses: move tenants across cores randomly so
 		// each NQ is accessed by multiple cores (§7.5).
-		workload.StartMigrator(env.Eng, env.Stack, mix.Tenants(), env.Pool.N(),
-			2*sim.Millisecond, sim.Time(sc.Warmup+sc.Measure), 99)
+		c.Aux = append(c.Aux, startHook(func(env *Env) {
+			workload.StartMigrator(env.Eng, env.Stack, mix.Tenants(), env.Pool.N(),
+				2*sim.Millisecond, sim.Time(sc.Warmup+sc.Measure), 99)
+		}))
 	}
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-
-	var lat, sub, comp stats.Histogram
-	var cross, total uint64
-	for _, j := range mix.LJobs {
-		lat.Merge(&j.Lat)
-		sub.Merge(j.SubWait)
-		comp.Merge(j.CompDelay)
-		cross += j.CrossCore
-		total += j.Done.Ops
-	}
-	frac := 0.0
-	if total > 0 {
-		frac = float64(cross) / float64(total)
-	}
+	r := c.Run(sc.Warmup, sc.Measure)
 	return Fig13Cell{
 		Kind: kind, Fixed: fixed, LCount: nL, TLCount: nTL,
-		Avg:     lat.Mean(),
-		Std:     lat.Quantile(0.90) - lat.Quantile(0.50),
-		SubWait: sub.Mean(), CompDelay: comp.Mean(),
-		CrossCoreFrac: frac,
+		Avg:           r.LTenantLatency.Mean,
+		Std:           r.LTenantLatency.P90 - r.LTenantLatency.P50,
+		SubWait:       r.LSubmissionWait.Mean,
+		CompDelay:     r.LCompletionDelay.Mean,
+		CrossCoreFrac: r.LCrossCoreFraction,
 	}
 }
 

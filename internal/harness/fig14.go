@@ -39,51 +39,40 @@ var Fig14Intervals = []sim.Duration{
 // after assembly, so the parallel result matches the serial one.
 func RunFig14(sc Scale) Fig14Result {
 	type cell struct {
-		r       MixResult
+		r       CellResult
 		updates uint64
 	}
 	intervals := append([]sim.Duration{0}, Fig14Intervals...)
 	cells := RunCells(len(intervals), func(i int) cell {
-		r, updates := runFig14Cell(intervals[i], sc)
-		return cell{r, updates}
+		c := NewCell(SVM(4), DareFull)
+		c.Mix.AddL(4, 0)
+		c.Mix.AddT(4, 0)
+		up := new(workload.IoniceUpdater) // stays zero for the baseline
+		if iv := intervals[i]; iv > 0 {
+			c.Aux = append(c.Aux, startHook(func(env *Env) {
+				up = workload.StartIoniceUpdater(env.Eng, env.Stack, c.Mix.Tenants(),
+					iv, sim.Time(sc.Warmup+sc.Measure))
+			}))
+		}
+		r := c.Run(sc.Warmup, sc.Measure)
+		return cell{r, up.Updates}
 	})
 	base := cells[0].r
 	res := Fig14Result{Rows: []Fig14Row{{
-		Interval: 0, LIOPSNorm: 1, TMBpsNorm: 1, CPUUtil: base.CPUUtil,
+		Interval: 0, LIOPSNorm: 1, TMBpsNorm: 1, CPUUtil: base.CPUUtilization,
 	}}}
 	for i, iv := range Fig14Intervals {
 		c := cells[i+1]
-		row := Fig14Row{Interval: iv, CPUUtil: c.r.CPUUtil, Updates: c.updates}
-		if base.LKIOPS > 0 {
-			row.LIOPSNorm = c.r.LKIOPS / base.LKIOPS
+		row := Fig14Row{Interval: iv, CPUUtil: c.r.CPUUtilization, Updates: c.updates}
+		if base.LTenantKIOPS > 0 {
+			row.LIOPSNorm = c.r.LTenantKIOPS / base.LTenantKIOPS
 		}
-		if base.TMBps > 0 {
-			row.TMBpsNorm = c.r.TMBps / base.TMBps
+		if base.TThroughputMBps > 0 {
+			row.TMBpsNorm = c.r.TThroughputMBps / base.TThroughputMBps
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res
-}
-
-func runFig14Cell(interval sim.Duration, sc Scale) (MixResult, uint64) {
-	env := NewEnv(SVM(4), DareFull)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
-	mix.AddT(4, 0)
-	mix.StartAll()
-	var up *workload.IoniceUpdater
-	if interval > 0 {
-		up = workload.StartIoniceUpdater(env.Eng, env.Stack, mix.Tenants(),
-			interval, sim.Time(sc.Warmup+sc.Measure))
-	}
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	var updates uint64
-	if up != nil {
-		updates = up.Updates
-	}
-	return mix.Collect(sc.Measure), updates
 }
 
 // WriteText renders the normalized series.

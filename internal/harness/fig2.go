@@ -26,10 +26,11 @@ type Fig2Result struct {
 // RunFig2 runs 4 L-tenants against 0..32 T-tenants on 4 cores, with and
 // without NQ-level interference.
 func RunFig2(sc Scale) Fig2Result {
+	counts := []int{0, 2, 4, 8, 16, 32}
+	grid := RunMixGrid(SVM(4), []StackKind{Vanilla, StaticPart}, 4, counts, sc)
 	var res Fig2Result
-	for _, n := range []int{0, 2, 4, 8, 16, 32} {
-		with := RunMixOnce(SVM(4), Vanilla, 4, n, sc)
-		without := RunMixOnce(SVM(4), StaticPart, 4, n, sc)
+	for i, n := range counts {
+		with, without := grid[i], grid[len(counts)+i]
 		res.Rows = append(res.Rows, Fig2Row{
 			TCount:      n,
 			WithTail:    with.L.P999,

@@ -44,34 +44,28 @@ func RunFig8(sc Scale) Fig8Result {
 		window = sim.Millisecond
 	}
 	res := Fig8Result{Machine: "WS-M", PhaseLen: phaseLen, Phases: phases, Window: window}
-	for _, kind := range ComparisonKinds {
-		env := NewEnv(WSM(), kind)
-		mix := NewMix(env)
+	res.Series = RunCells(len(ComparisonKinds), func(i int) Fig8Series {
+		kind := ComparisonKinds[i]
+		c := NewCell(WSM(), kind)
+		mix := c.Mix
 		mix.AddL(4, 0)
 		mix.AddT(phases[len(phases)-1], 0)
 		for _, j := range mix.AllJobs() {
 			j.EnableSeries(window)
 		}
-		// Start L-tenants and the first phase's T-tenants now; add more at
-		// each phase boundary.
-		for _, j := range mix.LJobs {
-			j.Start(env.Eng, env.Pool, env.Stack)
+		// Start L-tenants now and each phase's new T-tenants at its
+		// boundary.
+		c.start = func() {
+			mix.start(mix.LJobs)
+			started := 0
+			for pi, n := range phases {
+				mix.startAt(sim.Time(sim.Duration(pi)*phaseLen), mix.TJobs[started:n])
+				started = n
+			}
 		}
-		started := 0
-		for pi, n := range phases {
-			at := sim.Time(sim.Duration(pi) * phaseLen)
-			count := n - started
-			from := started
-			jobs := mix.TJobs[from : from+count]
-			env.Eng.At(at, func() {
-				for _, j := range jobs {
-					j.Start(env.Eng, env.Pool, env.Stack)
-				}
-			})
-			started = n
-		}
+		// The series cover the whole run: no warmup.
 		end := sim.Time(sim.Duration(len(phases)) * phaseLen)
-		env.Eng.RunUntil(end)
+		c.Run(0, sim.Duration(end))
 
 		// Merge job series point-wise.
 		var latSets [][]stats.SeriesPoint
@@ -119,8 +113,8 @@ func RunFig8(sc Scale) Fig8Result {
 			p.TMBps = bytes / 1e6 / window.Seconds()
 			ser.Points = append(ser.Points, p)
 		}
-		res.Series = append(res.Series, ser)
-	}
+		return ser
+	})
 	return res
 }
 

@@ -14,6 +14,7 @@ import (
 	"daredevil/internal/cpus"
 	"daredevil/internal/fault"
 	"daredevil/internal/ftl"
+	"daredevil/internal/kyber"
 	"daredevil/internal/nvme"
 	"daredevil/internal/obs"
 	"daredevil/internal/sim"
@@ -196,10 +197,9 @@ func buildStack(kind StackKind, env stackbase.Env) block.Stack {
 		return core.New(env, cfg)
 	case DareFull:
 		return core.New(env, core.DefaultConfig())
+	case Kyber:
+		return kyber.New(env, kyber.DefaultConfig())
 	default:
-		if build, ok := extraStacks[kind]; ok {
-			return build(env)
-		}
 		panic(fmt.Sprintf("harness: unknown stack kind %q", kind))
 	}
 }
@@ -207,9 +207,6 @@ func buildStack(kind StackKind, env stackbase.Env) block.Stack {
 // CreateNamespaces sets up n namespaces on the device (call before starting
 // workloads).
 func (e *Env) CreateNamespaces(n int) { e.Dev.CreateNamespaces(n) }
-
-// Elapsed reports virtual time since start.
-func (e *Env) Elapsed() sim.Duration { return sim.Duration(e.Eng.Now()) }
 
 // Scale controls experiment durations. The paper runs minutes per phase;
 // the simulation compresses each phase to a window that preserves queueing

@@ -59,22 +59,30 @@ func (m *Mix) AddTL(n, ns int) {
 	}
 }
 
+// addJob appends a job with an explicit tenant ID: real-time jobs join the
+// L-jobs, the rest the T-jobs.
+func (m *Mix) addJob(id int, cfg workload.FIOConfig) {
+	job := workload.NewJob(id, cfg)
+	if cfg.Class == block.ClassRT {
+		m.LJobs = append(m.LJobs, job)
+	} else {
+		m.TJobs = append(m.TJobs, job)
+	}
+}
+
 // StartAll starts every job.
-func (m *Mix) StartAll() {
-	for _, j := range m.AllJobs() {
+func (m *Mix) StartAll() { m.start(m.AllJobs()) }
+
+// start starts jobs now, in order.
+func (m *Mix) start(jobs []*workload.Job) {
+	for _, j := range jobs {
 		j.Start(m.Env.Eng, m.Env.Pool, m.Env.Stack)
 	}
 }
 
-// StartTLater starts the T-tenants from index from (inclusive) at instant
-// at — the rising T-pressure of §7.1.
-func (m *Mix) StartTLater(from int, at sim.Time) {
-	jobs := m.TJobs[from:]
-	m.Env.Eng.At(at, func() {
-		for _, j := range jobs {
-			j.Start(m.Env.Eng, m.Env.Pool, m.Env.Stack)
-		}
-	})
+// startAt starts jobs at instant at.
+func (m *Mix) startAt(at sim.Time, jobs []*workload.Job) {
+	m.Env.Eng.At(at, func() { m.start(jobs) })
 }
 
 // AllJobs returns L-jobs then T-jobs.
@@ -178,13 +186,9 @@ func RunMixGrid(machine Machine, kinds []StackKind, nL int, tCounts []int, sc Sc
 // RunMixOnce builds a mix of nL/nT tenants in namespace 0, runs
 // warmup+measure, and aggregates — the basic cell of Figures 6, 7, 9.
 func RunMixOnce(machine Machine, kind StackKind, nL, nT int, sc Scale) MixResult {
-	env := NewEnv(machine, kind)
-	mix := NewMix(env)
-	mix.AddL(nL, 0)
-	mix.AddT(nT, 0)
-	mix.StartAll()
-	env.Eng.RunUntil(sim.Time(sc.Warmup))
-	mix.ResetStats()
-	env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-	return mix.Collect(sc.Measure)
+	c := NewCell(machine, kind)
+	c.Mix.AddL(nL, 0)
+	c.Mix.AddT(nT, 0)
+	_, r := c.run(sc.Warmup, sc.Measure)
+	return r
 }

@@ -166,44 +166,22 @@ func RunObsDemo(sc Scale) (ObsDemo, error) {
 	fs := ExtFaultSchedule(FaultBrownout, DefaultFaultSeed,
 		sc.Warmup+sc.Measure/4, sc.Warmup+sc.Measure/2)
 	m.Fault = &fs
-	env := NewEnv(m, DareFull)
+	c := NewCell(m, DareFull)
 	window := sc.Measure / 64
 	if window <= 0 {
 		window = sim.Millisecond
 	}
-	o := env.EnableObs(obs.DefaultTraceLimit, window)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
-	mix.AddT(2, 0)
-	for _, j := range mix.AllJobs() {
-		j.Obs = o
-	}
-	o.Start()
-	mix.StartAll()
-	end := sim.Time(sc.Warmup + sc.Measure)
-	env.Eng.RunUntil(end)
-	o.Finish(end)
+	c.Env.EnableObs(obs.DefaultTraceLimit, window)
+	c.Mix.AddL(4, 0)
+	c.Mix.AddT(2, 0)
+	c.Run(sc.Warmup, sc.Measure)
 
 	var d ObsDemo
-	var buf bytes.Buffer
-	if err := o.Tracer().WriteJSON(&buf); err != nil {
-		return d, err
-	}
-	d.Trace = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Sampler().WriteCSV(&buf); err != nil {
-		return d, err
-	}
-	d.Metrics = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := WriteObsSVG(&buf, o.Sampler()); err != nil {
-		return d, err
-	}
-	d.SVG = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := o.Flight().WriteText(&buf); err != nil {
-		return d, err
-	}
-	d.Flight = append([]byte(nil), buf.Bytes()...)
-	return d, nil
+	err := renderAll(
+		export{&d.Trace, c.WriteTraceJSON},
+		export{&d.Metrics, c.WriteMetricsCSV},
+		export{&d.SVG, c.WriteMetricsSVG},
+		export{&d.Flight, c.WriteFlight},
+	)
+	return d, err
 }

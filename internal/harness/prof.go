@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 
 	"daredevil/internal/block"
@@ -120,46 +119,27 @@ func RunProfDemo(sc Scale) (ProfDemo, error) {
 	})
 
 	var d ProfDemo
-	var buf bytes.Buffer
 	results := make([]CellResult, len(outs))
 	for i, o := range outs {
 		results[i] = o.res
-		if o.res.Profile == nil {
+		p := o.res.Profile
+		if p == nil {
 			return d, fmt.Errorf("harness: profiled cell %s returned no profile", o.demo.Label)
 		}
-		buf.Reset()
-		if err := o.res.Profile.WriteBreakdownTable(&buf); err != nil {
+		if err := renderAll(
+			export{&o.demo.Breakdown, p.WriteBreakdownTable},
+			export{&o.demo.SVG, p.WriteBreakdownSVG},
+		); err != nil {
 			return d, err
 		}
-		o.demo.Breakdown = append([]byte(nil), buf.Bytes()...)
-		buf.Reset()
-		if err := o.res.Profile.WriteBreakdownSVG(&buf); err != nil {
-			return d, err
-		}
-		o.demo.SVG = append([]byte(nil), buf.Bytes()...)
 		d.Cells = append(d.Cells, o.demo)
 	}
 	d.Merged, _ = MergeCellProfiles(results)
-
-	buf.Reset()
-	if err := d.Merged.WriteBreakdownTable(&buf); err != nil {
-		return d, err
-	}
-	d.Breakdown = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteFoldedStacks(&buf); err != nil {
-		return d, err
-	}
-	d.Folded = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteBreakdownSVG(&buf); err != nil {
-		return d, err
-	}
-	d.SVG = append([]byte(nil), buf.Bytes()...)
-	buf.Reset()
-	if err := d.Merged.WriteJSON(&buf); err != nil {
-		return d, err
-	}
-	d.JSON = append([]byte(nil), buf.Bytes()...)
-	return d, nil
+	err := renderAll(
+		export{&d.Breakdown, d.Merged.WriteBreakdownTable},
+		export{&d.Folded, d.Merged.WriteFoldedStacks},
+		export{&d.SVG, d.Merged.WriteBreakdownSVG},
+		export{&d.JSON, d.Merged.WriteJSON},
+	)
+	return d, err
 }

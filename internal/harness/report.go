@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -41,4 +42,23 @@ func u64(v uint64) string { return fmt.Sprintf("%d", v) }
 
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
+}
+
+// export is one artifact of a demo: the writer that renders it and the
+// slot its bytes land in.
+type export struct {
+	dst   *[]byte
+	write func(io.Writer) error
+}
+
+// renderAll renders each export into its slot, stopping at the first error.
+func renderAll(exports ...export) error {
+	for _, e := range exports {
+		var buf bytes.Buffer
+		if err := e.write(&buf); err != nil {
+			return err
+		}
+		*e.dst = buf.Bytes()
+	}
+	return nil
 }

@@ -1,7 +1,8 @@
 package harness
 
 import (
-	"reflect"
+	"bytes"
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 
@@ -12,22 +13,25 @@ import (
 var tinyScale = Scale{Warmup: 10 * sim.Millisecond, Measure: 30 * sim.Millisecond}
 
 // TestRunnerParallelMatchesSerial is the regression test the fan-out rests
-// on: a whole experiment run with -j 1 must be deeply equal to the same
-// experiment run with -j 8. Each cell owns its own engine and RNG, so the
-// worker count can only change wall-clock time, never results.
+// on: every registered experiment run with -j 1 must encode to the same
+// JSON bytes as the same experiment run with -j 8. Each cell owns its own
+// engine and RNG, so the worker count can only change wall-clock time,
+// never results.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	defer SetParallelism(Parallelism())
-
-	SetParallelism(1)
-	serial := RunExtGC(tinyScale)
-	SetParallelism(8)
-	parallel := RunExtGC(tinyScale)
-
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("RunExtGC differs between -j 1 and -j 8:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	encode := func(e Experiment, workers int) []byte {
+		SetParallelism(workers)
+		data, err := json.MarshalIndent(e.Run(tinyScale), "", "  ")
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		return data
 	}
-	if len(serial.Cells) == 0 {
-		t.Fatal("RunExtGC returned no cells; the comparison is vacuous")
+	for _, e := range Experiments {
+		serial, parallel := encode(e, 1), encode(e, 8)
+		if !bytes.Equal(serial, parallel) {
+			t.Errorf("%s differs between -j 1 and -j 8:\nserial:   %s\nparallel: %s", e.Name, serial, parallel)
+		}
 	}
 }
 
