@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-profiles bench-all benchguard figures svg json obs prof examples serve serve-smoke lint lint-cold vet fmt cover clean
+.PHONY: all build test test-short race bench-all figures svg json obs prof examples serve serve-smoke lint lint-cold vet fmt cover clean
 
 all: build test
 
@@ -20,34 +20,9 @@ test-short:
 race:
 	$(GO) test -race -short ./...
 
-# Capture the performance baseline: event-core ns/op + allocs/op, the
-# whole-simulator benchmark, and ddbench wall-clock serial vs parallel.
-# The old baseline is kept as BENCH_harness.prev.json, and the cpu/mem
-# profile pair for the whole-simulator benchmark lands in out/profiles so
-# a regression found by benchguard arrives with the evidence attached.
-bench: bench-profiles
-	$(GO) run ./cmd/benchjson -out BENCH_harness.json
-
-# The profile pair behind the headline number: where BenchmarkSimulator-
-# Throughput spends its cycles and what it still allocates. CI archives
-# these as a workflow artifact on every run.
-bench-profiles:
-	mkdir -p out/profiles
-	$(GO) test -run '^$$' -bench BenchmarkSimulatorThroughput -benchtime 300x \
-		-cpuprofile out/profiles/throughput.cpu.pprof \
-		-memprofile out/profiles/throughput.mem.pprof \
-		-o out/profiles/throughput.test .
-
 # The full benchmark sweep across every package.
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
-
-# Fail if the guarded benchmarks (event core, obs-off device hot path,
-# whole-simulator throughput) allocate more per op than the committed
-# baseline in BENCH_harness.json admits (zero-alloc baselines admit zero),
-# or exceed their baseline ns/op by more than the wall-time budget.
-benchguard:
-	$(GO) run ./cmd/benchguard
 
 # Regenerate every paper table/figure (plus extensions) at default scale.
 figures:

@@ -276,62 +276,6 @@ func BenchmarkAblationNSQRatio(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed: events per
-// second of the full machine under a heavy mixed workload.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		env := harness.NewEnv(harness.SVM(4), harness.DareFull)
-		mix := harness.NewMix(env)
-		mix.AddL(4, 0)
-		mix.AddT(16, 0)
-		mix.StartAll()
-		env.Eng.RunUntil(sim.Time(100 * sim.Millisecond))
-		b.ReportMetric(float64(env.Eng.Executed), "events")
-	}
-}
-
-// BenchmarkObsOffDeviceHotPath pins the cost of the observability hooks
-// when observability is off — the common case for every experiment cell.
-// EnableObs is never called, so every span stamp, flight-ring record, and
-// tracer call must stay on its nil-check path; benchguard guards this
-// benchmark's allocs/op so a hook that starts allocating (or forces an
-// interface boxing) on the disabled path fails CI.
-func BenchmarkObsOffDeviceHotPath(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env := harness.NewEnv(harness.SVM(2), harness.DareFull)
-		mix := harness.NewMix(env)
-		mix.AddL(2, 0)
-		mix.AddT(2, 0)
-		mix.StartAll()
-		env.Eng.RunUntil(sim.Time(20 * sim.Millisecond))
-	}
-}
-
-// BenchmarkProfOffDeviceHotPath pins the cost of the profiler seam when
-// profiling is off: the observer is attached (so span plumbing, the
-// GC-stall sampling sites, and Span.End's sink dispatch are all reachable)
-// but no tracer or profile sink is armed, so StartSpan returns nil and
-// every stamp must stay on its nil-check path. The environment is built
-// once and the engine advanced per iteration, so the steady state is
-// allocation-free — benchguard gates this at exactly 0 allocs/op.
-func BenchmarkProfOffDeviceHotPath(b *testing.B) {
-	env := harness.NewEnv(harness.SVM(2), harness.DareFull)
-	env.EnableObs(0, 0)
-	mix := harness.NewMix(env)
-	mix.AddL(2, 0)
-	mix.AddT(2, 0)
-	mix.StartAll()
-	end := sim.Time(20 * sim.Millisecond)
-	env.Eng.RunUntil(end)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		end += sim.Time(sim.Millisecond)
-		env.Eng.RunUntil(end)
-	}
-}
-
 // --- Extension benches ---
 
 // BenchmarkExtensionSchedulers regenerates the I/O-scheduler comparison.

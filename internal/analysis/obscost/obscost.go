@@ -5,7 +5,8 @@
 // one nil compare and nothing else. Nothing enforced that: an obs hook
 // argument that calls fmt.Sprintf, builds a slice, or closes over a loop
 // variable allocates on every event whether observability is on or off,
-// and BenchmarkObsOffDeviceHotPath only notices after the damage lands.
+// and TestSteadyStateDevicePathAllocFree only notices after the damage
+// lands.
 //
 // For every call to an internal/obs method inside a function reachable
 // from a //ddvet:hotpath root (the flow layer's closure), the analyzer

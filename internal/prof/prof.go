@@ -19,7 +19,7 @@
 //
 // The profiler is a sim-ordered package (no wall clock, no sync, no map
 // iteration) and every hook is nil-safe and allocation-free on the hot
-// path, enforced by ddvet obscost and BenchmarkProfOffDeviceHotPath.
+// path, enforced by ddvet obscost and TestSteadyStateDevicePathAllocFree.
 package prof
 
 import (

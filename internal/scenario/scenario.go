@@ -221,6 +221,9 @@ func (sc Scenario) Validate() error {
 		if j.BS < 0 || j.IODepth < 0 || j.OutlierEvery < 0 || j.ArrivalUs < 0 || j.SpanMB < 0 || j.TrimEvery < 0 {
 			return fmt.Errorf("daredevil: job %d (%q): negative parameter", i, j.Name)
 		}
+		if j.Core != nil && *j.Core < 0 {
+			return fmt.Errorf("daredevil: job %d (%q): negative core %d", i, j.Name, *j.Core)
+		}
 		ns := sc.Namespaces
 		if ns < 1 {
 			ns = 1

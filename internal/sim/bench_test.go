@@ -1,10 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event scheduling+dispatch.
-// The perf baseline pins this at 0 allocs/op: the event core must not
-// allocate in steady state.
+// TestSteadyStateSchedulingAllocFree pins the same loop at 0 allocs.
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	e := New()
 	var fn func()
@@ -34,33 +36,48 @@ func BenchmarkEngineFanout(b *testing.B) {
 
 // TestSteadyStateSchedulingAllocFree asserts the free-list actually makes
 // the hot path allocation-free: once the engine reaches its high-water
-// mark, After+Step must not allocate at all.
+// mark, After+Step must not allocate at all — on a near-empty engine and
+// under a deep heap of pending events alike.
 func TestSteadyStateSchedulingAllocFree(t *testing.T) {
-	e := New()
-	fn := func() {}
-	// Reach the high-water mark so the slot table, free-list and heap all
-	// have capacity.
-	for i := 0; i < 64; i++ {
-		e.After(Duration(i+1), fn)
-	}
-	e.Run()
-	if got := testing.AllocsPerRun(1000, func() {
-		e.After(1, fn)
-		e.Step()
-	}); got != 0 {
-		t.Fatalf("steady-state After+Step allocates %.1f times/op, want 0", got)
-	}
-	// At with a pre-built closure is equally alloc-free.
-	if got := testing.AllocsPerRun(1000, func() {
-		e.At(e.Now()+1, fn)
-		e.Step()
-	}); got != 0 {
-		t.Fatalf("steady-state At+Step allocates %.1f times/op, want 0", got)
+	for _, parked := range []int{0, 1024} {
+		t.Run(fmt.Sprintf("parked=%d", parked), func(t *testing.T) {
+			e := New()
+			fn := func() {}
+			// Events beyond the wheel's horizon go straight to the heap,
+			// so every measured push and pop sifts through them.
+			for i := 0; i < parked; i++ {
+				e.After(10*Second+Duration(i), fn)
+			}
+			// Reach the high-water mark so the slot table, free-list and
+			// heap all have capacity.
+			for i := 0; i < 64; i++ {
+				e.After(Duration(i+1), fn)
+			}
+			for i := 0; i < 64; i++ {
+				e.Step()
+			}
+			if got := testing.AllocsPerRun(1000, func() {
+				e.After(1, fn)
+				e.Step()
+			}); got != 0 {
+				t.Fatalf("steady-state After+Step allocates %.1f times/op, want 0", got)
+			}
+			// At with a pre-built closure is equally alloc-free.
+			if got := testing.AllocsPerRun(1000, func() {
+				e.At(e.Now()+1, fn)
+				e.Step()
+			}); got != 0 {
+				t.Fatalf("steady-state At+Step allocates %.1f times/op, want 0", got)
+			}
+			if e.Pending() != parked {
+				t.Fatalf("Pending = %d, want the %d parked events", e.Pending(), parked)
+			}
+		})
 	}
 }
 
-// BenchmarkEngineTimerChurn measures cancellable scheduling: the only
-// steady-state allocation is the Timer handle itself.
+// BenchmarkEngineTimerChurn measures cancellable scheduling.
+// TestTimerHandleRecycling pins the same cycle at 0 allocs.
 func BenchmarkEngineTimerChurn(b *testing.B) {
 	e := New()
 	fn := func() {}

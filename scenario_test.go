@@ -117,6 +117,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 		"bad pattern":              `{"jobs":[{"name":"x","class":"L","count":1,"pattern":"zigzag"}]}`,
 		"bad namespace":            `{"namespaces":2,"jobs":[{"name":"x","class":"L","count":1,"namespace":5}]}`,
 		"negative param":           `{"jobs":[{"name":"x","class":"L","count":1,"bs":-1}]}`,
+		"negative core":            `{"jobs":[{"name":"db","class":"L","count":1,"core":-1}]}`,
 		"negative ms":              `{"measureMs":-5,"jobs":[{"name":"x","class":"L","count":1}]}`,
 		"traceLimit without trace": `{"traceLimit":100,"jobs":[{"name":"x","class":"L","count":1}]}`,
 		"negative traceLimit":      `{"trace":true,"traceLimit":-1,"jobs":[{"name":"x","class":"L","count":1}]}`,
@@ -126,6 +127,9 @@ func TestScenarioValidationErrors(t *testing.T) {
 		if _, err := ParseScenario([]byte(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	if _, err := ParseScenario([]byte(`{"jobs":[{"name":"db","class":"L","count":1,"core":0}]}`)); err != nil {
+		t.Errorf("explicit core 0 rejected: %v", err)
 	}
 }
 
