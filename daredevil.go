@@ -270,9 +270,9 @@ func (s *Simulation) EnableMetrics(window Duration) {
 	s.cell.EnableMetrics(window)
 }
 
-// WriteTrace renders collected request timelines as an aligned phase table
-// (cpu+route, in-NSQ, device, delivery). No-op unless EnableTrace was
-// called.
+// WriteTrace renders collected request timelines as an aligned table with
+// one column per latency layer (submit, queue_wait, fetch, chip, gc, cqe,
+// delivery) plus the total. No-op unless EnableTrace was called.
 func (s *Simulation) WriteTrace(w io.Writer) { s.cell.WriteTraceTable(w) }
 
 // WriteTraceJSON emits the collected trace as Chrome trace-event JSON with

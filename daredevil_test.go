@@ -191,7 +191,7 @@ func TestTraceCapture(t *testing.T) {
 	var buf bytes.Buffer
 	sim.WriteTrace(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "in-NSQ") || !strings.Contains(out, "fio-L") {
+	if !strings.Contains(out, "queue_wait") || !strings.Contains(out, "fio-L") {
 		t.Fatalf("trace table incomplete:\n%s", out)
 	}
 }

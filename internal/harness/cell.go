@@ -270,8 +270,8 @@ func (c *Cell) run(warmup, measure sim.Duration) (CellResult, MixResult) {
 	return res, r
 }
 
-// WriteTraceTable renders collected request timelines as an aligned phase
-// table. No-op unless tracing was armed.
+// WriteTraceTable renders collected request timelines as an aligned table
+// with one column per latency layer. No-op unless tracing was armed.
 func (c *Cell) WriteTraceTable(w io.Writer) error {
 	if c.Env.Obs == nil || c.Env.Obs.Tracer() == nil {
 		return nil

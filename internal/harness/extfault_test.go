@@ -8,6 +8,7 @@ import (
 
 	"daredevil/internal/fault"
 	"daredevil/internal/ftl"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -17,6 +18,7 @@ import (
 // end exactly once — completed or terminally failed — on every stack. The
 // whole-run stall guarantees some requests can never succeed, so the capped
 // requeue path must produce terminal verdicts rather than hanging the cell.
+// Time is conserved too: every traced span's layers sum to its total.
 func TestConservationUnderFaults(t *testing.T) {
 	s := fault.Schedule{
 		Seed: 7,
@@ -44,6 +46,12 @@ func TestConservationUnderFaults(t *testing.T) {
 			mix := NewMix(env)
 			mix.AddL(4, 0)
 			mix.AddT(2, 0)
+			// Trace every request so the layer split can be checked on
+			// the recovered spans too.
+			o := env.EnableObs(1<<18, 0)
+			for _, j := range mix.AllJobs() {
+				j.Obs = o
+			}
 			mix.StartAll()
 			env.Eng.At(sim.Time(60*sim.Millisecond), func() {
 				for _, j := range mix.AllJobs() {
@@ -76,7 +84,40 @@ func TestConservationUnderFaults(t *testing.T) {
 			if m.FTL != nil && rec.Faults.ProgramFailures == 0 {
 				t.Error("program-failure injection never fired on the FTL-backed cell")
 			}
+			checkLayersConserved(t, o.Tracer())
 		})
+	}
+}
+
+// checkLayersConserved asserts that the tracer kept every span and that
+// each completed span's layers are non-negative and sum to its total, with
+// at least one terminally failed span among them.
+func checkLayersConserved(t *testing.T, tr *obs.Tracer) {
+	t.Helper()
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans: raise the budget", tr.Dropped())
+	}
+	failed := 0
+	for _, sp := range tr.Spans() {
+		if sp.Complete == 0 {
+			continue
+		}
+		if sp.Failed {
+			failed++
+		}
+		var sum sim.Duration
+		for l, d := range sp.Layers() {
+			if d < 0 {
+				t.Fatalf("span %d: layer %s = %v", sp.Seq, obs.Layer(l), d)
+			}
+			sum += d
+		}
+		if sum != sp.Total() {
+			t.Fatalf("span %d: layers sum to %v, total is %v", sp.Seq, sum, sp.Total())
+		}
+	}
+	if failed == 0 {
+		t.Error("no traced span failed: the conservation check saw no recovered request")
 	}
 }
 

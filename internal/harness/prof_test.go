@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"daredevil/internal/prof"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -34,18 +34,16 @@ func TestProfiledCell(t *testing.T) {
 		if g.Requests == 0 {
 			t.Fatalf("group %s/%s has no requests", g.Stack, g.Class)
 		}
-		if len(g.Layers) != prof.NumLayers {
+		if len(g.Layers) != obs.NumLayers {
 			t.Fatalf("group %s has %d layers", g.Class, len(g.Layers))
 		}
-		// The taxonomy must account for the total latency mass: layer sums
-		// equal the total digest's sum exactly (clamps only move mass
-		// between layers, never drop it) for fully-stamped spans; failed
-		// or recovered spans may leave a small unattributed remainder.
+		// The taxonomy accounts for the total latency mass exactly: every
+		// span's layers sum to its total (obs.Span.Layers).
 		var layerSum int64
 		for _, l := range g.Layers {
 			layerSum += l.Sum
 		}
-		if layerSum == 0 || layerSum > g.Total.Sum {
+		if layerSum == 0 || layerSum != g.Total.Sum {
 			t.Fatalf("group %s: layer sum %d vs total %d", g.Class, layerSum, g.Total.Sum)
 		}
 	}

@@ -298,7 +298,7 @@ func TestWriteTableContainsPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"in-NSQ", "device", "delivery", "fio-L"} {
+	for _, want := range []string{"queue_wait", "chip#", "delivery", "fio-L"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}

@@ -84,15 +84,12 @@ func (s *Span) Child(reqID uint64) *Span {
 	if s == nil {
 		return nil
 	}
-	var c *Span
-	switch {
-	case s.o != nil:
-		// Route through the observer so a pooled parent gets a pooled
-		// child and a traced parent a traced one (budget permitting).
-		c = s.o.StartSpan()
-	case s.tr != nil:
-		c = s.tr.startSpan()
+	if s.o == nil {
+		return nil
 	}
+	// Route through the observer so a pooled parent gets a pooled child
+	// and a traced parent a traced one (budget permitting).
+	c := s.o.StartSpan()
 	if c == nil {
 		return nil
 	}
@@ -129,44 +126,87 @@ func (s *Span) End() {
 	s.o.spanFree = append(s.o.spanFree, s)
 }
 
-// Phase durations derived from the stamps; zero when a stage was skipped.
+// Layer is one slot of the latency taxonomy: the single split of a
+// request's time that the profiler, the trace table and the trace timeline
+// all read. The order below is the canonical export order.
+type Layer int
 
-// QueueWait is the time spent queued in the NSQ before the controller
-// fetched the command.
-func (s *Span) QueueWait() sim.Duration {
-	if s.Fetch == 0 || s.Submit == 0 {
-		return 0
-	}
-	return s.Fetch.Sub(s.Submit)
+const (
+	// LayerSubmit is issue → NSQ entry: block split, stack routing, NQ/NSQ
+	// lock waits and submission cost.
+	LayerSubmit Layer = iota
+	// LayerQueueWait is NSQ entry → controller fetch, minus the priced
+	// fetch window: pure head-of-line blocking in the submission queue.
+	LayerQueueWait
+	// LayerFetch is the controller's priced command fetch (fetch engine
+	// cost plus per-page transfer).
+	LayerFetch
+	// LayerChip is FTL mapping plus flash service (die queue + cell time),
+	// net of foreground-GC insertion.
+	LayerChip
+	// LayerGC is the die time foreground GC inserted ahead of this
+	// command's service — the tail-latency villain of the paper's Figure 2.
+	LayerGC
+	// LayerCQE is chip service done → CQE visible (post cost, injected
+	// completion delays).
+	LayerCQE
+	// LayerDelivery is CQE post → host completion: coalescing, IRQ or
+	// poll reaping, softirq, cross-core hops.
+	LayerDelivery
+
+	// NumLayers is the taxonomy size; layer arrays and slices always hold
+	// all NumLayers entries in the order above.
+	NumLayers = int(LayerDelivery) + 1
+)
+
+var layerNames = [NumLayers]string{
+	"submit", "queue_wait", "fetch", "chip", "gc", "cqe", "delivery",
 }
 
-// DeviceTime is fetch → CQE post: FTL mapping, GC waits, chip service and
-// CQE post cost.
-func (s *Span) DeviceTime() sim.Duration {
-	if s.CQEPost == 0 || s.Fetch == 0 {
-		return 0
+// String names the layer as it appears in every export.
+func (l Layer) String() string {
+	if l < 0 || int(l) >= NumLayers {
+		return "?"
 	}
-	return s.CQEPost.Sub(s.Fetch)
+	return layerNames[l]
 }
 
-// DeliveryTime is CQE post → host completion (coalescing, IRQ-or-poll,
-// softirq).
-func (s *Span) DeliveryTime() sim.Duration {
-	if s.Complete == 0 || s.CQEPost == 0 {
-		return 0
+// LayerNames returns the canonical layer order.
+func LayerNames() []string { return layerNames[:] }
+
+// Layers splits the span's Total across the taxonomy. It walks the stamps
+// Issue → Submit → Fetch → Service → CQEPost → Complete; the first stamp
+// that is zero, earlier than the one before it, or later than Complete was
+// not reached by the final attempt (a requeued or cancelled command keeps
+// stale stamps), and all remaining time goes to the layer the request was
+// in at that point. FetchCost is then split out of the queue window and
+// GCWait out of the chip window, each clamped to its window. The layers
+// therefore always sum to Total. Allocation-free: the profiler calls it on
+// every completion.
+func (s *Span) Layers() (l [NumLayers]sim.Duration) {
+	if s.Total() == 0 {
+		return l
 	}
-	return s.Complete.Sub(s.CQEPost)
+	// Each stamp closes the window of the layer the request was in. Once
+	// a stamp is clamped to Complete every later window is empty.
+	ends := [...]sim.Time{s.Submit, s.Fetch, s.Service, s.CQEPost, s.Complete}
+	into := [len(ends)]Layer{LayerSubmit, LayerQueueWait, LayerChip, LayerCQE, LayerDelivery}
+	prev := s.Issue
+	for i, end := range ends {
+		if end == 0 || end < prev || end > s.Complete {
+			end = s.Complete
+		}
+		l[into[i]] = end.Sub(prev)
+		prev = end
+	}
+	l[LayerFetch] = min(s.FetchCost, l[LayerQueueWait])
+	l[LayerQueueWait] -= l[LayerFetch]
+	l[LayerGC] = min(s.GCWait, l[LayerChip])
+	l[LayerChip] -= l[LayerGC]
+	return l
 }
 
-// HostTime is issue → NSQ entry: stack routing, submission cost, lock waits.
-func (s *Span) HostTime() sim.Duration {
-	if s.Submit == 0 || s.Issue == 0 {
-		return 0
-	}
-	return s.Submit.Sub(s.Issue)
-}
-
-// Total is issue → completion.
+// Total is issue → completion, zero for a span that never completed.
 func (s *Span) Total() sim.Duration {
 	if s.Complete == 0 {
 		return 0
@@ -174,11 +214,15 @@ func (s *Span) Total() sim.Duration {
 	return s.Complete.Sub(s.Issue)
 }
 
-// WriteTable renders completed spans as an aligned phase table, one row per
-// span in completion order.
+// WriteTable renders completed spans as an aligned table, one row per span
+// in completion order and one column per taxonomy layer.
 func (t *Tracer) WriteTable(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "req\ttenant\tclass\top\tsize\tNSQ\tchip\tcpu+route\tin-NSQ\tdevice\tdelivery\ttotal\txcore")
+	fmt.Fprint(tw, "req\ttenant\tclass\top\tsize\tNSQ\tchip#")
+	for _, name := range layerNames {
+		fmt.Fprintf(tw, "\t%s", name)
+	}
+	fmt.Fprintln(tw, "\ttotal\txcore")
 	for _, s := range t.done {
 		mode := ""
 		if s.CrossCore {
@@ -187,10 +231,12 @@ func (t *Tracer) WriteTable(w io.Writer) error {
 		if s.Polled {
 			mode += "p"
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			s.ReqID, s.Tenant, s.Class, s.Op, s.Size, s.NSQ, s.Chip,
-			s.HostTime(), s.QueueWait(), s.DeviceTime(), s.DeliveryTime(),
-			s.Total(), mode)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%d",
+			s.ReqID, s.Tenant, s.Class, s.Op, s.Size, s.NSQ, s.Chip)
+		for _, d := range s.Layers() {
+			fmt.Fprintf(tw, "\t%s", d)
+		}
+		fmt.Fprintf(tw, "\t%s\t%s\n", s.Total(), mode)
 	}
 	return tw.Flush()
 }

@@ -155,25 +155,26 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 
 	for _, s := range t.done {
 		id := spanID(s)
-		if s.Submit > s.Issue && s.Core >= 0 {
-			e.event(slice("submit", pidCores, s.Core, s.Issue, s.Submit.Sub(s.Issue),
-				fmt.Sprintf("%s,\"lock_wait_us\":%s", id, usecDur(s.LockWait))))
-		}
-		if s.Fetch > s.Submit && s.Submit > 0 && s.NSQ >= 0 {
-			e.event(slice("queued", pidNSQ, s.NSQ, s.Submit, s.Fetch.Sub(s.Submit),
-				fmt.Sprintf("%s,\"depth\":%d", id, s.NSQDepth)))
-		}
-		if s.Service > s.Fetch && s.Fetch > 0 && s.Chip >= 0 {
-			e.event(slice(s.Op, pidChips, s.Chip, s.Fetch, s.Service.Sub(s.Fetch),
-				fmt.Sprintf("%s,\"fg_gcs\":%d", id, s.FGGCs)))
-		}
-		if s.Complete > s.CQEPost && s.CQEPost > 0 && s.DCore >= 0 {
-			mode := "irq"
-			if s.Polled {
-				mode = "poll"
+		for i, sl := range spanSlices(s) {
+			if !sl.drawn() {
+				continue
 			}
-			e.event(slice("deliver", pidCores, s.DCore, s.CQEPost, s.Complete.Sub(s.CQEPost),
-				fmt.Sprintf("%s,\"mode\":%s,\"xcore\":%t", id, strconv.Quote(mode), s.CrossCore)))
+			var args string
+			switch i {
+			case sliceSubmit:
+				args = fmt.Sprintf("%s,\"lock_wait_us\":%s", id, usecDur(s.LockWait))
+			case sliceQueued:
+				args = fmt.Sprintf("%s,\"depth\":%d", id, s.NSQDepth)
+			case sliceChip:
+				args = fmt.Sprintf("%s,\"fg_gcs\":%d", id, s.FGGCs)
+			case sliceDeliver:
+				mode := "irq"
+				if s.Polled {
+					mode = "poll"
+				}
+				args = fmt.Sprintf("%s,\"mode\":%s,\"xcore\":%t", id, strconv.Quote(mode), s.CrossCore)
+			}
+			e.event(slice(sl.name, sl.pid, sl.tid, sl.start, sl.dur, args))
 		}
 	}
 
@@ -196,6 +197,41 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// Per-span slices on the timeline, in spanSlices order.
+const (
+	sliceSubmit = iota
+	sliceQueued
+	sliceChip
+	sliceDeliver
+	numSlices
+)
+
+// spanSlice is one span's slice on a timeline track.
+type spanSlice struct {
+	name     string
+	pid, tid int
+	start    sim.Time
+	dur      sim.Duration
+}
+
+// drawn reports whether the slice appears on the timeline: it has length
+// and its track is known.
+func (sl spanSlice) drawn() bool { return sl.dur > 0 && sl.tid >= 0 }
+
+// spanSlices derives a span's timeline slices from its Layers, so the
+// timeline and the profile agree on every request: submit on the issuing
+// core, queue wait plus fetch on the NSQ, chip plus GC on the flash chip,
+// and delivery on the completing core.
+func spanSlices(s *Span) [numSlices]spanSlice {
+	l := s.Layers()
+	return [numSlices]spanSlice{
+		sliceSubmit:  {"submit", pidCores, s.Core, s.Issue, l[LayerSubmit]},
+		sliceQueued:  {"queued", pidNSQ, s.NSQ, s.Submit, l[LayerQueueWait] + l[LayerFetch]},
+		sliceChip:    {s.Op, pidChips, s.Chip, s.Fetch, l[LayerChip] + l[LayerGC]},
+		sliceDeliver: {"deliver", pidCores, s.DCore, s.CQEPost, l[LayerDelivery]},
+	}
 }
 
 func spanID(s *Span) string {
@@ -236,25 +272,12 @@ func usedTids(t *Tracer, pid int) []int {
 		ids = append(ids, id)
 	}
 	switch pid {
-	case pidCores:
+	case pidCores, pidNSQ, pidChips:
 		for _, s := range t.done {
-			if s.Submit > s.Issue {
-				add(s.Core)
-			}
-			if s.Complete > s.CQEPost && s.CQEPost > 0 {
-				add(s.DCore)
-			}
-		}
-	case pidNSQ:
-		for _, s := range t.done {
-			if s.Fetch > s.Submit && s.Submit > 0 {
-				add(s.NSQ)
-			}
-		}
-	case pidChips:
-		for _, s := range t.done {
-			if s.Service > s.Fetch && s.Fetch > 0 {
-				add(s.Chip)
+			for _, sl := range spanSlices(s) {
+				if sl.pid == pid && sl.drawn() {
+					add(sl.tid)
+				}
 			}
 		}
 	case pidGC:

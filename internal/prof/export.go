@@ -6,6 +6,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -88,14 +89,14 @@ func ParseProfile(data []byte) (Profile, error) {
 
 // Layer palette for the stacked SVG, one fixed color per taxonomy slot (so
 // the same layer has the same color in every artifact).
-var layerColors = [NumLayers]string{
-	"#4e79a7", // submit
-	"#f28e2b", // queue_wait
-	"#76b7b2", // fetch
-	"#59a14f", // chip
-	"#e15759", // gc
-	"#edc948", // cqe
-	"#b07aa1", // delivery
+var layerColors = [obs.NumLayers]string{
+	obs.LayerSubmit:    "#4e79a7",
+	obs.LayerQueueWait: "#f28e2b",
+	obs.LayerFetch:     "#76b7b2",
+	obs.LayerChip:      "#59a14f",
+	obs.LayerGC:        "#e15759",
+	obs.LayerCQE:       "#edc948",
+	obs.LayerDelivery:  "#b07aa1",
 }
 
 // SVG layout constants.
@@ -126,10 +127,10 @@ func (p Profile) WriteBreakdownSVG(w io.Writer) error {
 	pr("<rect width=\"%d\" height=\"%d\" fill=\"white\"/>\n", svgWidth, height)
 	// Legend: one swatch per layer, fixed order.
 	x := float64(svgGutter)
-	for l := 0; l < NumLayers; l++ {
+	for l, name := range obs.LayerNames() {
 		pr("<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" fill=\"%s\"/>\n", x, svgPadding, layerColors[l])
-		pr("<text x=\"%.1f\" y=\"%d\">%s</text>\n", x+13, svgPadding+9, layerNames[l])
-		x += float64(13 + 7*len(layerNames[l]) + 12)
+		pr("<text x=\"%.1f\" y=\"%d\">%s</text>\n", x+13, svgPadding+9, name)
+		x += float64(13 + 7*len(name) + 12)
 	}
 	y := svgPadding + svgLegendH
 	for _, g := range p.Groups {

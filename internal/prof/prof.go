@@ -1,6 +1,6 @@
 // Package prof is the streaming virtual-time profiler: it consumes every
-// completed request span (via the obs.SpanSink seam), folds the span's
-// phase ladder into a fixed layer taxonomy, and aggregates per
+// completed request span (via the obs.SpanSink seam), reads the span's
+// split across the obs layer taxonomy (obs.Span.Layers), and aggregates per
 // (stack, tenant-class, layer) mergeable quantile digests. The paper's
 // opening question — which layer of the storage stack does each
 // microsecond of a request go to, and how does the split shift under
@@ -26,56 +26,8 @@ import (
 	"sort"
 
 	"daredevil/internal/obs"
-	"daredevil/internal/sim"
 	"daredevil/internal/stats"
 )
-
-// Layer is one slot of the fixed latency taxonomy. The order below is the
-// canonical export order.
-type Layer int
-
-const (
-	// LayerSubmit is issue → NSQ entry: block split, stack routing, NQ/NSQ
-	// lock waits and submission cost.
-	LayerSubmit Layer = iota
-	// LayerQueueWait is NSQ entry → controller fetch, minus the priced
-	// fetch window: pure head-of-line blocking in the submission queue.
-	LayerQueueWait
-	// LayerFetch is the controller's priced command fetch (fetch engine
-	// cost plus per-page transfer).
-	LayerFetch
-	// LayerChip is FTL mapping plus flash service (die queue + cell time),
-	// net of foreground-GC insertion.
-	LayerChip
-	// LayerGC is the die time foreground GC inserted ahead of this
-	// command's service — the tail-latency villain of the paper's Figure 2.
-	LayerGC
-	// LayerCQE is chip service done → CQE visible (post cost, injected
-	// completion delays).
-	LayerCQE
-	// LayerDelivery is CQE post → host completion: coalescing, IRQ or
-	// poll reaping, softirq, cross-core hops.
-	LayerDelivery
-
-	// NumLayers is the taxonomy size; Layers slices always hold all
-	// NumLayers entries in the order above.
-	NumLayers = int(LayerDelivery) + 1
-)
-
-var layerNames = [NumLayers]string{
-	"submit", "queue_wait", "fetch", "chip", "gc", "cqe", "delivery",
-}
-
-// String names the layer as it appears in every export.
-func (l Layer) String() string {
-	if l < 0 || int(l) >= NumLayers {
-		return "?"
-	}
-	return layerNames[l]
-}
-
-// LayerNames returns the canonical layer order.
-func LayerNames() []string { return layerNames[:] }
 
 // classAgg is the live aggregate for one tenant class: a digest per layer
 // plus a total-latency digest. Classes are few (the paper's L and T), so a
@@ -85,7 +37,7 @@ type classAgg struct {
 	requests uint64
 	failed   uint64
 	total    stats.Digest
-	layers   [NumLayers]stats.Digest
+	layers   [obs.NumLayers]stats.Digest
 }
 
 // Profiler is the per-cell streaming aggregator. It implements
@@ -147,37 +99,10 @@ func (p *Profiler) ConsumeSpan(sp *obs.Span) {
 	if sp.Failed {
 		c.failed++
 	}
-	c.total.Record(window(sp.Issue, sp.Complete))
-
-	submit := window(sp.Issue, sp.Submit)
-	queueWait := window(sp.Submit, sp.Fetch)
-	fetch := sp.FetchCost
-	if fetch > queueWait {
-		fetch = queueWait
+	c.total.Record(sp.Total())
+	for l, d := range sp.Layers() {
+		c.layers[l].Record(d)
 	}
-	queueWait -= fetch
-	chip := window(sp.Fetch, sp.Service)
-	gc := sp.GCWait
-	if gc > chip {
-		gc = chip
-	}
-	chip -= gc
-	c.layers[LayerSubmit].Record(submit)
-	c.layers[LayerQueueWait].Record(queueWait)
-	c.layers[LayerFetch].Record(fetch)
-	c.layers[LayerChip].Record(chip)
-	c.layers[LayerGC].Record(gc)
-	c.layers[LayerCQE].Record(window(sp.Service, sp.CQEPost))
-	c.layers[LayerDelivery].Record(window(sp.CQEPost, sp.Complete))
-}
-
-// window is the duration between two lifecycle stamps, zero when either
-// stage was skipped (failed or recovered requests have partial ladders).
-func window(from, to sim.Time) sim.Duration {
-	if from == 0 || to == 0 || to < from {
-		return 0
-	}
-	return to.Sub(from)
 }
 
 // classFor finds or appends the aggregate for a class label. First-seen
@@ -201,7 +126,7 @@ type LayerStat struct {
 
 // Group is the aggregate for one (stack, tenant-class) pair: request
 // counts, the total-latency digest, and one digest per taxonomy layer
-// (always NumLayers entries, canonical order).
+// (always obs.NumLayers entries, canonical order).
 type Group struct {
 	Stack    string           `json:"stack"`
 	Class    string           `json:"class"`
@@ -235,10 +160,10 @@ func (p *Profiler) Profile() Profile {
 			Requests: c.requests,
 			Failed:   c.failed,
 			Total:    c.total.Dump(),
-			Layers:   make([]LayerStat, NumLayers),
+			Layers:   make([]LayerStat, obs.NumLayers),
 		}
-		for l := 0; l < NumLayers; l++ {
-			g.Layers[l] = LayerStat{Layer: layerNames[l], DigestDump: c.layers[l].Dump()}
+		for l, name := range obs.LayerNames() {
+			g.Layers[l] = LayerStat{Layer: name, DigestDump: c.layers[l].Dump()}
 		}
 		groups = append(groups, g)
 	}
@@ -295,10 +220,10 @@ func mergeGroup(a, b Group) Group {
 		Requests: a.Requests + b.Requests,
 		Failed:   a.Failed + b.Failed,
 		Total:    a.Total.Merge(b.Total),
-		Layers:   make([]LayerStat, NumLayers),
+		Layers:   make([]LayerStat, obs.NumLayers),
 	}
-	for l := 0; l < NumLayers; l++ {
-		g.Layers[l] = LayerStat{Layer: layerNames[l]}
+	for l, name := range obs.LayerNames() {
+		g.Layers[l] = LayerStat{Layer: name}
 		var da, db stats.DigestDump
 		if l < len(a.Layers) {
 			da = a.Layers[l].DigestDump

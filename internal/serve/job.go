@@ -28,7 +28,7 @@ const (
 )
 
 // cellOutput is one evaluated cell: the typed result plus any rendered
-// artifacts. It is the in-flight twin of cacheEntry.
+// artifacts. Jobs carry it in flight and the result cache stores it.
 type cellOutput struct {
 	result        harness.CellResult
 	trace         []byte
@@ -37,20 +37,6 @@ type cellOutput struct {
 	profileTxt    []byte
 	profileFolded []byte
 	profileSVG    []byte
-}
-
-func entryFromOutput(o cellOutput) cacheEntry {
-	return cacheEntry{
-		result: o.result, trace: o.trace, metricsCSV: o.metricsCSV, metricsSVG: o.metricsSVG,
-		profileTxt: o.profileTxt, profileFolded: o.profileFolded, profileSVG: o.profileSVG,
-	}
-}
-
-func outputFromEntry(e cacheEntry) cellOutput {
-	return cellOutput{
-		result: e.result, trace: e.trace, metricsCSV: e.metricsCSV, metricsSVG: e.metricsSVG,
-		profileTxt: e.profileTxt, profileFolded: e.profileFolded, profileSVG: e.profileSVG,
-	}
 }
 
 // job is one accepted request moving through the queue and worker pool.

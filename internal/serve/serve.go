@@ -195,8 +195,8 @@ func (s *Server) runSweep(jb *job) error {
 	var missIdx []int
 	for i, p := range points {
 		keys[i] = s.keyFor(p.Scenario)
-		if e, ok := s.cache.get(keys[i]); ok {
-			outs[i] = outputFromEntry(e)
+		if out, ok := s.cache.get(keys[i]); ok {
+			outs[i] = out
 		} else {
 			missIdx = append(missIdx, i)
 		}
@@ -213,7 +213,7 @@ func (s *Server) runSweep(jb *job) error {
 			}
 		}
 		for _, i := range missIdx {
-			s.cache.put(keys[i], entryFromOutput(outs[i]))
+			s.cache.put(keys[i], outs[i])
 		}
 	}
 	jb.setSweepResult(outs, len(points)-len(missIdx))
@@ -224,14 +224,14 @@ func (s *Server) runSweep(jb *job) error {
 // miss, insert. What-if probes go through it.
 func (s *Server) runCachedPoint(sc scenario.Scenario) (out cellOutput, hit bool, err error) {
 	key := s.keyFor(sc)
-	if e, ok := s.cache.get(key); ok {
-		return outputFromEntry(e), true, nil
+	if cached, ok := s.cache.get(key); ok {
+		return cached, true, nil
 	}
 	out, err = s.runPoint(sc)
 	if err != nil {
 		return out, false, err
 	}
-	s.cache.put(key, entryFromOutput(out))
+	s.cache.put(key, out)
 	return out, false, nil
 }
 

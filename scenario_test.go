@@ -175,3 +175,35 @@ func TestScenarioErrorsMentionJob(t *testing.T) {
 		t.Fatalf("error should name the offending job: %v", err)
 	}
 }
+
+// TestScenarioProfileConservedUnderFaults profiles a brownout cell whose
+// host recovery requeues and cancels commands, so many spans end with stale
+// stamps. For every group the layers' summed time must equal the summed
+// total latency exactly: attribution neither invents nor drops time.
+func TestScenarioProfileConservedUnderFaults(t *testing.T) {
+	sc, err := ParseScenario([]byte(`{"machine":"svm","cores":4,"stack":"daredevil","warmupMs":50,"measureMs":200,
+		"fault":"brownout","faultSeed":42,"cmdTimeoutUs":5000,"ftl":true,
+		"jobs":[{"name":"db","class":"L","count":4},{"name":"backup","class":"T","count":8}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, warm, measure, err := BuildScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.EnableProfile()
+	sim.Run(warm, measure)
+	groups := sim.Profile().Groups
+	if len(groups) != 2 {
+		t.Fatalf("groups = %d, want 2 (L and T)", len(groups))
+	}
+	for _, g := range groups {
+		var layerSum int64
+		for _, l := range g.Layers {
+			layerSum += l.Sum
+		}
+		if g.Total.Sum == 0 || layerSum != g.Total.Sum {
+			t.Errorf("%s/%s: layer sums add up to %dns, total is %dns", g.Stack, g.Class, layerSum, g.Total.Sum)
+		}
+	}
+}
