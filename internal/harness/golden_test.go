@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"daredevil/internal/ftl"
+	"daredevil/internal/sim"
 	"daredevil/internal/workload"
 )
 
@@ -35,7 +36,9 @@ var goldenScale = QuickScale
 
 // goldenSpecs returns the pinned cells: one ext-gc-shaped aged-device cell
 // and one ext-fault-shaped brownout cell, mirroring RunExtGCCell and
-// RunExtFaultCell's configurations through the CellSpec API.
+// RunExtFaultCell's configurations through the CellSpec API, plus one
+// overload cell whose NSQs fill, so the full-queue retry path is pinned
+// too.
 func goldenSpecs() map[string]CellSpec {
 	// ext-gc: aged device at 7% OP with TRIM, 4 L-tenants vs 4
 	// overwrite-heavy T-tenants at depth 4 (RunExtGCCell's shape).
@@ -83,7 +86,40 @@ func goldenSpecs() map[string]CellSpec {
 			Warmup: goldenScale.Warmup, Measure: goldenScale.Measure,
 			Jobs: faultJobs,
 		},
+		// mixed.json's window shortened from 500 to 400 ms: Daredevil's
+		// NSQs first fill between 300 and 350 ms in, and the rest of the
+		// run is a storm of about 54,000 retry attempts.
+		"overload-mixed": {
+			Machine: SVM(4), Kind: DareFull,
+			Warmup: 100 * sim.Millisecond, Measure: 300 * sim.Millisecond,
+			Jobs: overloadJobs(),
+		},
 	}
+}
+
+// overloadJobs is examples/scenarios/mixed.json's tenant list as the
+// scenario loader builds it: 4 L-tenants, 12 T-tenants marking every 10th
+// request REQ_SYNC, and one open-loop L "webapp" at a 250 µs mean gap. The
+// webapp outruns the NSQs, so on vanilla, blk-switch, dare-sched and
+// daredevil most submissions retry on a full queue.
+func overloadJobs() []workload.FIOConfig {
+	jobs := make([]workload.FIOConfig, 0, 17)
+	add := func(cfg workload.FIOConfig) {
+		cfg.Seed += uint64(len(jobs)) * 9176
+		jobs = append(jobs, cfg)
+	}
+	for i := 0; i < 4; i++ {
+		add(workload.DefaultLTenant("db", len(jobs)%4))
+	}
+	for i := 0; i < 12; i++ {
+		cfg := workload.DefaultTTenant("etl", len(jobs)%4)
+		cfg.OutlierEvery = 10
+		add(cfg)
+	}
+	web := workload.DefaultLTenant("webapp", len(jobs)%4)
+	web.Arrival = 250 * sim.Microsecond
+	add(web)
+	return jobs
 }
 
 // goldenJSON renders a CellResult exactly as the fixtures store it.
@@ -121,6 +157,24 @@ func TestGoldenCells(t *testing.T) {
 				t.Fatalf("%s: CellResult JSON diverged from golden fixture.\nThe simulator's output bytes changed — a hot-path optimization must not move results.\ngot %d bytes, want %d bytes", name, len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestGoldenOverloadRetries asserts the overload fixture pins a retry
+// storm: the other golden cells never find a full NSQ, so without it the
+// full-queue retry path would be pinned only through ext-fault's hash.
+func TestGoldenOverloadRetries(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", "overload-mixed.json"))
+	if err != nil {
+		t.Fatalf("read fixture (regenerate with -update-golden): %v", err)
+	}
+	var res CellResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery.Requeues == 0 || res.Recovery.RetryAttempts <= res.Recovery.Requeues {
+		t.Fatalf("overload fixture: %d requeues, %d retry attempts; want a storm of repeated retries",
+			res.Recovery.Requeues, res.Recovery.RetryAttempts)
 	}
 }
 
