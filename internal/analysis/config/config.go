@@ -116,6 +116,7 @@ func Default() *Config {
 			"daredevil/internal/block",
 			"daredevil/internal/core",
 			"daredevil/internal/workload",
+			"daredevil/internal/stackbase",
 		},
 		GuardFields: []string{
 			"live", "parked", "pendingDone", "pendingAbort", "stopped", "fired",

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -159,11 +160,16 @@ func TestChipPlacementCoversAllDies(t *testing.T) {
 }
 
 // Property: completion never precedes submission plus the minimum service
-// time, and later submissions to the same range never finish earlier.
+// time, and a later read of a page never finishes before an earlier read
+// of it — reads map by LBA, so every read of one page waits in the same
+// die FIFO. Programs make no such promise: they go log-structured to the
+// next die in round-robin order, so a read may finish before an earlier
+// program of the same page. The input is drawn from a fixed seed, so a
+// failure reproduces.
 func TestCompletionMonotonicProperty(t *testing.T) {
 	prop := func(offs []uint16, writeMask uint16) bool {
 		d := New(smallConfig())
-		lastSamePage := map[int64]sim.Time{}
+		lastRead := map[int64]sim.Time{}
 		for i, o := range offs {
 			off := int64(o) * 4096
 			op := Read
@@ -176,15 +182,19 @@ func TestCompletionMonotonicProperty(t *testing.T) {
 			if done < sim.Time(0).Add(min) {
 				return false
 			}
+			if op != Read {
+				continue
+			}
 			page := off / 4096
-			if prev, ok := lastSamePage[page]; ok && done <= prev {
+			if prev, ok := lastRead[page]; ok && done <= prev {
 				return false
 			}
-			lastSamePage[page] = done
+			lastRead[page] = done
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"daredevil/internal/sim"
@@ -75,38 +76,97 @@ func TestSteadyStateDevicePathAllocFree(t *testing.T) {
 	}
 }
 
+// overloadWarmup runs the overload cell past the onset of its retry storm
+// (its NSQs first fill between 300 and 350 ms in).
+const overloadWarmup = 400 * sim.Millisecond
+
+// TestOverloadRetryPathAllocFree runs the overload shape (the golden
+// overload cell's tenants) on the two stacks whose NSQs are full within
+// the warm-up, and checks the retry storm allocates (almost) nothing: each
+// of its thousands of attempts per simulated ms must reuse a pooled retry
+// record and pre-bound continuations. The bound leaves room for growth of
+// the open-loop tenant's backlog; a closure per attempt costs thousands.
+func TestOverloadRetryPathAllocFree(t *testing.T) {
+	const bound = 10
+	for _, kind := range []StackKind{DareSched, DareFull} {
+		t.Run(string(kind), func(t *testing.T) {
+			c := BuildCell(CellSpec{Machine: SVM(4), Kind: kind, Jobs: overloadJobs()})
+			c.Mix.StartAll()
+			end := sim.Time(overloadWarmup)
+			c.Env.Eng.RunUntil(end)
+			before := c.Env.Recovery().RetryAttempts
+			allocs := testing.AllocsPerRun(steadyWindow, func() {
+				end += sim.Time(sim.Millisecond)
+				c.Env.Eng.RunUntil(end)
+			})
+			retries := c.Env.Recovery().RetryAttempts - before
+			if retries < 1000*steadyWindow {
+				t.Fatalf("%d retry attempts in %d simulated ms after a %v warm-up; the window no longer holds a retry storm",
+					retries, steadyWindow, overloadWarmup)
+			}
+			if allocs > bound {
+				t.Fatalf("%.0f allocs per simulated ms over %d retry attempts, want at most %d", allocs, retries, bound)
+			}
+		})
+	}
+}
+
 // TestCellConstructionAllocBudget bounds what building a cell and running
 // it briefly allocates, which is almost all construction: engine slabs,
-// device queues, per-core state and tenant jobs. The budgets are the
-// counts the cells had when the bounds were set plus 10%; a change that
-// needs more must lower something else or justify raising the bound.
+// device queues, per-core state and tenant jobs. Each cell has two
+// budgets, allocation count and bytes, both set at the cell's figures
+// when the bounds were set plus 10%; a change that needs more must lower
+// something else or justify raising the bound. Bytes matter apart from
+// count: a cell is built on a cold heap, so its construction cost grows
+// with the bytes it touches, not only with the calls it makes.
 func TestCellConstructionAllocBudget(t *testing.T) {
 	cases := []struct {
-		name   string
-		cores  int
-		nL, nT int
-		run    sim.Duration
-		budget float64
+		name        string
+		cores       int
+		nL, nT      int
+		run         sim.Duration
+		budget      float64
+		bytesBudget float64
 	}{
 		// The headline cell: the same SV-M 4L+16T Daredevil cell the
-		// bench module's cell-steady workload times (551 allocs).
-		{"svm4-4L16T-100ms", 4, 4, 16, 100 * sim.Millisecond, 606},
-		// A small 2-core cell (175 allocs).
-		{"svm2-2L2T-20ms", 2, 2, 2, 20 * sim.Millisecond, 192},
+		// bench module's cell-steady workload times (583 allocs,
+		// 431,707 B).
+		{"svm4-4L16T-100ms", 4, 4, 16, 100 * sim.Millisecond, 606, 475_000},
+		// A small 2-core cell (179 allocs, 172,456 B).
+		{"svm2-2L2T-20ms", 2, 2, 2, 20 * sim.Millisecond, 192, 190_000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			allocs := testing.AllocsPerRun(3, func() {
+			build := func() {
 				env := NewEnv(SVM(c.cores), DareFull)
 				mix := NewMix(env)
 				mix.AddL(c.nL, 0)
 				mix.AddT(c.nT, 0)
 				mix.StartAll()
 				env.Eng.RunUntil(sim.Time(c.run))
-			})
+			}
+			allocs := testing.AllocsPerRun(3, build)
 			if allocs > c.budget {
 				t.Fatalf("build + %v allocates %.0f times, budget %.0f", c.run, allocs, c.budget)
 			}
+			if bytes := allocBytesPerRun(3, build); bytes > c.bytesBudget {
+				t.Fatalf("build + %v allocates %.0f B, budget %.0f B", c.run, bytes, c.bytesBudget)
+			}
 		})
 	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the mean number of
+// heap bytes one call of f allocates, over runs calls after a warm-up
+// call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

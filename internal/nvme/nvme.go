@@ -409,14 +409,17 @@ func New(eng *sim.Engine, pool *cpus.Pool, cfg Config) *Device {
 	}
 	nsqArr := make([]NSQ, cfg.NumNSQ)
 	d.nsqs = make([]*NSQ, cfg.NumNSQ)
-	// Seed each entries slice with a modest carve of one shared backing
-	// array: enough to swallow the append-growth ladder at realistic
-	// occupancy (tens of commands) without committing QueueDepth-sized
-	// arrays per NSQ — at 64 NSQs × 1024 depth that would be half a
-	// megabyte per cell. The three-index carve caps each slice so a queue
-	// growing past its share reallocates privately instead of clobbering
-	// its neighbor.
-	const entrySeed = 64
+	// Seed each entries slice with a small carve of one shared backing
+	// array instead of committing QueueDepth-sized arrays per NSQ (at 64
+	// NSQs × 1024 depth that would be half a megabyte per cell). Most
+	// NSQs never hold more than a few commands; the busy ones grow by
+	// append during the untimed ramp-up. The seed stays small because a
+	// cell is built on a cold heap, where construction bytes cost more
+	// than the growth steps they would skip (DESIGN.md, "Slab and
+	// backing-array lifecycle"). The three-index carve caps each slice so
+	// a queue growing past its share reallocates privately instead of
+	// clobbering its neighbor.
+	const entrySeed = 16
 	entryBacking := make([]*command, cfg.NumNSQ*entrySeed)
 	for i := range nsqArr {
 		q := &nsqArr[i]

@@ -55,6 +55,11 @@ type Base struct {
 	// unsplit fast path (the vast majority of requests) allocates
 	// nothing.
 	splitScratch []*block.Request
+	// freeRetries recycles parked-submission records; retrySlab is the
+	// chunk the free list refills from while the number of requests
+	// parked at once grows.
+	freeRetries []*retry
+	retrySlab   []retry
 
 	// Requeues counts submissions that hit a full NSQ at least once.
 	Requeues uint64
@@ -161,36 +166,125 @@ func (b *Base) backoff(attempt int) sim.Duration {
 // request. Retried submissions always ring the doorbell — a requeued
 // request has waited long enough that batching it further could live-lock
 // a full queue of unannounced entries.
+//
+//ddvet:hotpath
 func (b *Base) EnqueueOrRetry(rq *block.Request, nsq int, ring bool) (accepted bool, overhead sim.Duration) {
 	ok, overhead := b.Dev.Enqueue(b.Eng.Now(), nsq, rq, ring)
 	if ok {
 		return true, overhead
 	}
 	b.Requeues++
-	b.scheduleRetry(rq, nsq, 0)
+	r := b.allocRetry(rq, retryEnqueue)
+	r.nsq = nsq
+	b.scheduleRetry(r)
 	return false, b.RequeueCost
 }
 
-func (b *Base) scheduleRetry(rq *block.Request, nsq, attempt int) {
-	core := 0
-	if rq.Tenant != nil {
-		core = rq.Tenant.Core
+// retry is one parked submission: a request waiting out its backoff
+// before it is tried again on its tenant's core. A record lives from the
+// first full-NSQ refusal (or device cancel) until the attempt that places
+// the request, and carries the request through the engine and the core as
+// the Arg of package-level continuations, so a retry storm of millions of
+// attempts allocates nothing once the pool has grown to the number of
+// requests parked at once.
+type retry struct {
+	b  *Base
+	rq *block.Request
+	// run is the attempt made on the core: retryEnqueue re-enqueues on
+	// nsq, retryResubmit routes a device-cancelled request through the
+	// stack again.
+	run     func(any) sim.Duration
+	nsq     int
+	attempt int
+	// core is the tenant's core when the attempt was scheduled: a tenant
+	// that migrates meanwhile still retries where it was parked.
+	core int
+	// live guards the free list against a double release.
+	live bool
+}
+
+// retryChunk is the retry-record carve granularity.
+const retryChunk = 32
+
+// allocRetry takes a record from the free list, carving a new chunk when
+// it is empty.
+func (b *Base) allocRetry(rq *block.Request, run func(any) sim.Duration) *retry {
+	var r *retry
+	if n := len(b.freeRetries); n > 0 {
+		r = b.freeRetries[n-1]
+		b.freeRetries = b.freeRetries[:n-1]
+	} else {
+		if len(b.retrySlab) == 0 {
+			b.retrySlab = make([]retry, retryChunk)
+		}
+		r = &b.retrySlab[0]
+		b.retrySlab = b.retrySlab[1:]
 	}
+	*r = retry{b: b, rq: rq, run: run, live: true}
+	return r
+}
+
+// freeRetry returns a record to the free list. It drops the request
+// reference: a split child is not pooled by any job, so a stale pointer
+// here would keep it reachable.
+func (b *Base) freeRetry(r *retry) {
+	if !r.live {
+		panic("stackbase: retry record freed twice")
+	}
+	r.live = false
+	r.rq = nil
+	b.freeRetries = append(b.freeRetries, r)
+}
+
+// scheduleRetry counts one full-NSQ retry attempt and parks r for its
+// backoff.
+func (b *Base) scheduleRetry(r *retry) {
+	r.core = tenantCore(r.rq)
 	b.RetryAttempts++
-	b.Eng.After(b.backoff(attempt), func() {
-		b.Pool.Core(core).Submit(cpus.Work{
-			Cost:  b.RequeueCost,
-			Owner: tenantOwner(rq),
-			Fn: func() sim.Duration {
-				ok, overhead := b.Dev.Enqueue(b.Eng.Now(), nsq, rq, true)
-				if ok {
-					return overhead
-				}
-				b.scheduleRetry(rq, nsq, attempt+1)
-				return 0
-			},
-		})
+	b.Eng.AfterArg(b.backoff(r.attempt), retryWake, r)
+}
+
+// retryWake ends a record's backoff: the attempt is queued on the core
+// the request was parked on, charged RequeueCost.
+//
+//ddvet:hotpath
+func retryWake(arg any) {
+	r := arg.(*retry)
+	b := r.b
+	b.Pool.Core(r.core).Submit(cpus.Work{
+		Cost:  b.RequeueCost,
+		Owner: tenantOwner(r.rq),
+		ArgFn: r.run,
+		Arg:   r,
 	})
+}
+
+// retryEnqueue is one full-NSQ retry attempt: on success it releases the
+// record and returns the submission overhead, otherwise it parks the
+// record again with the next backoff step.
+//
+//ddvet:hotpath
+func retryEnqueue(arg any) sim.Duration {
+	r := arg.(*retry)
+	b := r.b
+	ok, overhead := b.Dev.Enqueue(b.Eng.Now(), r.nsq, r.rq, true)
+	if ok {
+		b.freeRetry(r)
+		return overhead
+	}
+	r.attempt++
+	b.scheduleRetry(r)
+	return 0
+}
+
+// retryResubmit sends a device-cancelled request through the stack again.
+//
+//ddvet:hotpath
+func retryResubmit(arg any) sim.Duration {
+	r := arg.(*retry)
+	b, rq := r.b, r.rq
+	b.freeRetry(r)
+	return b.resubmit(rq)
 }
 
 // handleCancel is the device's cancel hook (nvme.SetCancelHandler): the
@@ -198,6 +292,8 @@ func (b *Base) scheduleRetry(rq *block.Request, nsq, attempt int) {
 // Resubmit it through the stack after a capped exponential backoff, or —
 // once it has been cancelled more than MaxRequeues times — fail it
 // terminally so it still completes exactly once.
+//
+//ddvet:hotpath
 func (b *Base) handleCancel(rq *block.Request) {
 	rq.Requeues++
 	limit := b.MaxRequeues
@@ -214,17 +310,16 @@ func (b *Base) handleCancel(rq *block.Request) {
 	}
 	b.CancelRequeues++
 	rq.Err = nil // a resubmission is a fresh attempt
-	core := 0
+	r := b.allocRetry(rq, retryResubmit)
+	r.core = tenantCore(rq)
+	b.Eng.AfterArg(b.backoff(rq.Requeues-1), retryWake, r)
+}
+
+func tenantCore(rq *block.Request) int {
 	if rq.Tenant != nil {
-		core = rq.Tenant.Core
+		return rq.Tenant.Core
 	}
-	b.Eng.After(b.backoff(rq.Requeues-1), func() {
-		b.Pool.Core(core).Submit(cpus.Work{
-			Cost:  b.RequeueCost,
-			Owner: tenantOwner(rq),
-			Fn:    func() sim.Duration { return b.resubmit(rq) },
-		})
-	})
+	return 0
 }
 
 func tenantOwner(rq *block.Request) int {

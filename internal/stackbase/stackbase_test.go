@@ -185,6 +185,57 @@ func TestRetryAttemptsCounted(t *testing.T) {
 	}
 }
 
+// TestFullNSQRetryAllocFree parks a request on a full NSQ and checks that
+// its retries reuse one pooled record: K attempts allocate nothing, the
+// record returns to the free list with its request reference dropped once
+// the queue drains, and Requeues/RetryAttempts count as before.
+func TestFullNSQRetryAllocFree(t *testing.T) {
+	env := newEnv(t)
+	b := DefaultBase(env)
+	ten := &block.Tenant{ID: 1, Core: 0}
+	for i := 0; i < 4; i++ {
+		rq := &block.Request{ID: uint64(i), Tenant: ten, Size: 4096, NSQ: -1}
+		rq.OnComplete = func(r *block.Request) {}
+		if ok, _ := env.Dev.Enqueue(env.Eng.Now(), 0, rq, false); !ok {
+			t.Fatal("setup enqueue failed")
+		}
+	}
+	done := false
+	rq := &block.Request{ID: 99, Tenant: ten, Size: 4096, NSQ: -1}
+	rq.OnComplete = func(r *block.Request) { done = true }
+	if accepted, _ := b.EnqueueOrRetry(rq, 0, true); accepted {
+		t.Fatal("enqueue on a full queue must be deferred")
+	}
+	// attempt runs the engine until the parked request has made one more
+	// failed attempt and been parked again.
+	attempt := func() {
+		n := b.RetryAttempts
+		for b.RetryAttempts == n && env.Eng.Step() {
+		}
+	}
+	attempt() // the engine's slot table and the core's queue reach their size
+	const k = 50
+	if allocs := testing.AllocsPerRun(k, attempt); allocs != 0 {
+		t.Fatalf("%.0f allocs per full-NSQ retry attempt, want 0", allocs)
+	}
+	// One attempt from EnqueueOrRetry, one warm-up, and k+1 from
+	// AllocsPerRun (it runs the function once before measuring).
+	if b.Requeues != 1 || b.RetryAttempts != k+3 {
+		t.Fatalf("Requeues=%d RetryAttempts=%d, want 1/%d", b.Requeues, b.RetryAttempts, k+3)
+	}
+	env.Dev.Ring(0)
+	env.Eng.RunUntil(env.Eng.Now().Add(100 * sim.Millisecond))
+	if !done {
+		t.Fatal("retried request never completed")
+	}
+	if b.Requeues != 1 || b.RetryAttempts != k+3 {
+		t.Fatalf("after drain: Requeues=%d RetryAttempts=%d, want 1/%d", b.Requeues, b.RetryAttempts, k+3)
+	}
+	if len(b.freeRetries) != 1 || b.freeRetries[0].live || b.freeRetries[0].rq != nil {
+		t.Fatal("the drained request's retry record must be back in the pool, released and cleared")
+	}
+}
+
 func TestHandleCancelRequeuesThenTerminal(t *testing.T) {
 	env := newEnv(t)
 	b := DefaultBase(env)
@@ -214,6 +265,11 @@ func TestHandleCancelRequeuesThenTerminal(t *testing.T) {
 	if b.CancelRequeues != 2 || b.TerminalFailures != 1 {
 		t.Fatalf("CancelRequeues=%d TerminalFailures=%d, want 2/1",
 			b.CancelRequeues, b.TerminalFailures)
+	}
+	// Each resubmission released its record before the next cancel took
+	// one, so a single record served every round.
+	if len(b.freeRetries) != 1 || b.freeRetries[0].rq != nil {
+		t.Fatalf("%d free retry records, want the one record back in the pool", len(b.freeRetries))
 	}
 }
 

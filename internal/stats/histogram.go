@@ -44,8 +44,11 @@ type Histogram struct {
 	// the full array is ~15KB, and a Job carries two histograms, so
 	// committing it eagerly (or even on first Record) would dominate the
 	// simulator's allocation volume. Bucket i lives at
-	// pages[i>>pageBits][i&pageMask]; a nil page is all zeros.
-	pages [numPages][]uint64
+	// pages[i>>pageBits][i&pageMask]; a nil page is all zeros. A page is a
+	// pointer to a fixed-size array rather than a slice: one word per page
+	// instead of three keeps the directory at 240 B instead of 720 B, and
+	// every cell builds a few dozen histograms before it records anything.
+	pages [numPages]*[pageSize]uint64
 	count uint64
 	sum   int64
 	min   int64
@@ -55,10 +58,10 @@ type Histogram struct {
 // page returns the page holding bucket index idx, allocating it on first
 // use. Pages are uniform pageSize even at the tail — the waste is a few
 // words and keeps Record branch-free on the index math.
-func (h *Histogram) page(idx int) []uint64 {
+func (h *Histogram) page(idx int) *[pageSize]uint64 {
 	p := h.pages[idx>>pageBits]
 	if p == nil {
-		p = make([]uint64, pageSize)
+		p = new([pageSize]uint64)
 		h.pages[idx>>pageBits] = p
 	}
 	return p
@@ -201,7 +204,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		}
 		hp := h.pages[pi]
 		if hp == nil {
-			hp = make([]uint64, pageSize)
+			hp = new([pageSize]uint64)
 			h.pages[pi] = hp
 		}
 		for j, c := range op {
@@ -221,8 +224,8 @@ func (h *Histogram) Merge(other *Histogram) {
 // Reset clears all observations, keeping allocated pages for reuse.
 func (h *Histogram) Reset() {
 	for _, p := range h.pages {
-		for i := range p {
-			p[i] = 0
+		if p != nil {
+			*p = [pageSize]uint64{}
 		}
 	}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
