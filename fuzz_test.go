@@ -31,13 +31,15 @@ func FuzzParseScenario(f *testing.F) {
 	})
 }
 
-// FuzzFTLMapping drives a small FTL-backed device with a fuzz-chosen
+// FuzzFTLMapping drives two small FTL-backed devices with a fuzz-chosen
 // interleaving of writes, TRIMs, and reads, letting the background GC chains
 // run between operations, and asserts the mapping-table invariants (L2P/P2L
-// consistency, per-block valid counts, free-list integrity) after every step.
-// The input tape is consumed in 3-byte records: opcode, then a 16-bit
-// logical-page selector; the opcode's high bits size multi-page ranges so
-// TRIMs and writes cross block boundaries.
+// consistency, the live bitmap, per-block valid counts, free-list integrity,
+// GC continuation records back in their pool) after every step. The second
+// device has 24-page blocks, so the index arithmetic is checked off the
+// power-of-two geometry too. The input tape is consumed in 3-byte records:
+// opcode, then a 16-bit logical-page selector; the opcode's high bits size
+// multi-page ranges so TRIMs and writes cross block boundaries.
 func FuzzFTLMapping(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 2, 0, 2})
 	f.Add([]byte{0, 0x12, 0x34, 0x41, 0x12, 0x34, 0x80, 0x12, 0x34})
@@ -52,54 +54,66 @@ func FuzzFTLMapping(f *testing.F) {
 		if len(data) > 3*maxOps {
 			data = data[:3*maxOps]
 		}
-		eng := sim.New()
-		fcfg := ftl.Config{
-			PagesPerBlock:   16,
-			BlocksPerDie:    16,
-			OPPct:           30,
-			GCBatchPages:    4,
-			PreconditionPct: 100,
-			ScramblePct:     30,
-			Seed:            7,
+		type dev struct {
+			eng *sim.Engine
+			d   *ftl.Device
 		}
-		d := ftl.New(eng, flash.New(flash.Config{
-			Channels:        4,
-			ChipsPerChannel: 2,
-			PageSize:        4096,
-			ReadLatency:     70 * sim.Microsecond,
-			ProgramLatency:  420 * sim.Microsecond,
-			XferLatency:     3 * sim.Microsecond,
-			EraseLatency:    2 * sim.Millisecond,
-		}), fcfg)
-		if err := d.CheckInvariants(); err != nil {
-			t.Fatalf("invariants broken after preconditioning: %v", err)
+		var devs []dev
+		for _, ppb := range []int{16, 24} {
+			eng := sim.New()
+			d := ftl.New(eng, flash.New(flash.Config{
+				Channels:        4,
+				ChipsPerChannel: 2,
+				PageSize:        4096,
+				ReadLatency:     70 * sim.Microsecond,
+				ProgramLatency:  420 * sim.Microsecond,
+				XferLatency:     3 * sim.Microsecond,
+				EraseLatency:    2 * sim.Millisecond,
+			}), ftl.Config{
+				PagesPerBlock:   ppb,
+				BlocksPerDie:    16,
+				OPPct:           30,
+				GCBatchPages:    4,
+				PreconditionPct: 100,
+				ScramblePct:     30,
+				Seed:            7,
+			})
+			if err := d.CheckInvariants(); err != nil {
+				t.Fatalf("ppb=%d: invariants broken after preconditioning: %v", ppb, err)
+			}
+			devs = append(devs, dev{eng, d})
 		}
 		pageSize := int64(4096)
 		for len(data) >= 3 {
 			op, hi, lo := data[0], data[1], data[2]
 			data = data[3:]
-			lp := (int64(hi)<<8 | int64(lo)) % d.LogicalPages()
-			pages := int64(op>>4)%4 + 1 // 1..4 pages per operation
-			off, size := lp*pageSize, pages*pageSize
-			switch op % 3 {
-			case 0:
-				d.SubmitIO(eng.Now(), off, size, flash.Program)
-			case 1:
-				d.Trim(off, size)
-			case 2:
-				d.SubmitIO(eng.Now(), off, size, flash.Read)
-			}
-			eng.Run() // drain GC chains and deferred trim wake-ups
-			if err := d.CheckInvariants(); err != nil {
-				t.Fatalf("invariants broken after op %d (lp=%d pages=%d): %v",
-					op%3, lp, pages, err)
+			for _, v := range devs {
+				eng, d := v.eng, v.d
+				lp := (int64(hi)<<8 | int64(lo)) % d.LogicalPages()
+				pages := int64(op>>4)%4 + 1 // 1..4 pages per operation
+				off, size := lp*pageSize, pages*pageSize
+				switch op % 3 {
+				case 0:
+					d.SubmitIO(eng.Now(), off, size, flash.Program)
+				case 1:
+					d.Trim(off, size)
+				case 2:
+					d.SubmitIO(eng.Now(), off, size, flash.Read)
+				}
+				eng.Run() // drain GC chains and deferred trim wake-ups
+				if err := d.CheckInvariants(); err != nil {
+					t.Fatalf("ppb=%d: invariants broken after op %d (lp=%d pages=%d): %v",
+						d.Config().PagesPerBlock, op%3, lp, pages, err)
+				}
 			}
 		}
-		// The device must stay conservative: mapped pages never exceed the
+		// The devices must stay conservative: mapped pages never exceed the
 		// logical space, free blocks never exceed physical blocks.
-		if d.ValidPages() > d.LogicalPages() {
-			t.Fatalf("%d valid pages exceed logical capacity %d",
-				d.ValidPages(), d.LogicalPages())
+		for _, v := range devs {
+			if v.d.ValidPages() > v.d.LogicalPages() {
+				t.Fatalf("ppb=%d: %d valid pages exceed logical capacity %d",
+					v.d.Config().PagesPerBlock, v.d.ValidPages(), v.d.LogicalPages())
+			}
 		}
 	})
 }

@@ -117,6 +117,7 @@ func Default() *Config {
 			"daredevil/internal/core",
 			"daredevil/internal/workload",
 			"daredevil/internal/stackbase",
+			"daredevil/internal/ftl",
 		},
 		GuardFields: []string{
 			"live", "parked", "pendingDone", "pendingAbort", "stopped", "fired",

@@ -311,7 +311,12 @@ func (d *Device) SubmitPage(now sim.Time, page int64, op Op) sim.Time {
 //ddvet:hotpath
 func (d *Device) SubmitAtDie(now sim.Time, dieIdx int, op Op) sim.Time {
 	die := &d.chips[dieIdx]
-	bus := &d.channels[dieIdx/d.cfg.ChipsPerChannel]
+	var bus *sim.FIFORes
+	if d.chipShift >= 0 {
+		bus = &d.channels[dieIdx>>d.chipShift]
+	} else {
+		bus = &d.channels[dieIdx/d.cfg.ChipsPerChannel]
+	}
 	switch op {
 	case Read:
 		d.stats.PagesRead++

@@ -19,6 +19,8 @@ package ftl
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"daredevil/internal/fault"
 	"daredevil/internal/flash"
@@ -166,7 +168,7 @@ func (s Stats) WriteAmplification() float64 {
 
 // blockMeta is the per-erase-block bookkeeping.
 type blockMeta struct {
-	valid     int      // mapped pages in the block
+	valid     int32    // mapped pages in the block
 	erases    uint32   // lifetime erase count (wear)
 	lastWrite sim.Time // most recent program (cost-benefit age)
 	free      bool     // sitting in the die's free list
@@ -210,7 +212,34 @@ type dieState struct {
 	gcGen    uint64   // invalidates scheduled GC continuations after a takeover
 
 	retired int // blocks taken out of service on this die (grown bad)
+
+	// dev and idx let a die stand as the argument of its own TRIM wake;
+	// trimMark is the number of the last Trim that listed it for one.
+	dev      *Device
+	idx      int
+	trimMark uint64
 }
+
+// gcCont is one scheduled GC continuation: the next relocation step of a
+// round (gcStepWake) or the start of the next round once the victim's
+// erase completes (gcRoundWake). It carries the die, the die's GC
+// generation when it was scheduled and the round's victim: a foreground
+// takeover bumps the generation, so a record that fires after one finds
+// its round gone and only returns to the pool. Records are pooled per
+// device and ride the engine as the argument of package-level functions,
+// so a GC chain allocates nothing once the pool has grown to the number
+// of continuations pending at once.
+type gcCont struct {
+	d      *Device
+	die    int
+	gen    uint64
+	victim int
+	// live guards the free list against a double release.
+	live bool
+}
+
+// gcContChunk is the GC continuation record carve granularity.
+const gcContChunk = 32
 
 // Device is the flash translation layer over one media device.
 type Device struct {
@@ -225,11 +254,34 @@ type Device struct {
 	logPages  int64
 	lowWater  int
 	highWater int
+	// pagesPerDie is BlocksPerDie·PagesPerBlock: the die of physical page
+	// pp is pp/pagesPerDie, a 32-bit division (physical pages are int32).
+	pagesPerDie uint32
 
-	l2p    []int32 // logical page → physical page (-1 unmapped)
-	p2l    []int32 // physical page → logical page (-1 invalid or free)
+	l2p []int32 // logical page → physical page (-1 unmapped)
+	// p2l maps a physical page back to its logical page. An entry means
+	// something only where the page's bit in live is set: invalidating a
+	// page clears its bit and leaves the entry stale, and the table is
+	// never filled at build time.
+	p2l []int32
+	// live is the valid-page bitmap, one bit per physical page (128 KiB
+	// for a 4 GiB device), so invalidation touches a cache-resident word
+	// instead of a random entry of p2l.
+	live   []uint64
 	blocks []blockMeta
 	dies   []dieState
+
+	// freeConts recycles GC continuation records; contSlab is the chunk
+	// the free list refills from, and conts counts every record carved,
+	// so all of them are back in freeConts once the engine drains.
+	freeConts []*gcCont
+	contSlab  []gcCont
+	conts     int
+	// wake is Trim's reusable list of dies to wake, in the order the
+	// range first touched them (at most one entry per die); trims numbers
+	// the Trim calls, so a die's trimMark says whether it is listed.
+	wake  []int
+	trims uint64
 
 	allocRR int // host-allocation die cursor
 	// aging suppresses GC wake-ups while preconditioning remaps pages
@@ -279,6 +331,7 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 		numDies:  media.NumChips(),
 	}
 	d.physPages = int64(d.numDies) * int64(cfg.BlocksPerDie) * int64(d.ppb)
+	d.pagesPerDie = uint32(cfg.BlocksPerDie * d.ppb)
 	d.logPages = d.physPages * int64((100-cfg.OPPct)*100) / 10000
 	if d.logPages <= 0 {
 		panic("ftl: zero logical capacity")
@@ -299,16 +352,16 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 
 	d.l2p = make([]int32, d.logPages)
 	d.p2l = make([]int32, d.physPages)
+	d.live = make([]uint64, (d.physPages+63)/64)
 	for i := range d.l2p {
 		d.l2p[i] = -1
 	}
-	for i := range d.p2l {
-		d.p2l[i] = -1
-	}
 	d.blocks = make([]blockMeta, d.numDies*cfg.BlocksPerDie)
 	d.dies = make([]dieState, d.numDies)
+	d.wake = make([]int, d.numDies)
 	for i := range d.dies {
 		die := &d.dies[i]
+		die.dev, die.idx = d, i
 		die.active = -1
 		die.gcActive = -1
 		die.gcVictim = -1
@@ -415,33 +468,69 @@ func (d *Device) logicalPage(abs int64) int64 {
 	return lp
 }
 
-// dieOfBlock / blockBase index helpers.
+// Physical-page index helpers. Physical pages are non-negative int32s,
+// so both divisions are 32-bit and hold for any block size.
 func (d *Device) dieOfPhys(pp int32) int {
-	return int(int64(pp) / (int64(d.cfg.BlocksPerDie) * int64(d.ppb)))
+	return int(uint32(pp) / d.pagesPerDie)
 }
 
 func (d *Device) blockOfPhys(pp int32) int {
-	return int(int64(pp) / int64(d.ppb))
+	return int(uint32(pp) / uint32(d.ppb))
 }
 
-func (d *Device) blockBase(die, blk int) int64 {
-	return (int64(die)*int64(d.cfg.BlocksPerDie) + int64(blk)) * int64(d.ppb)
+// Live-bitmap accessors.
+func (d *Device) isLive(pp int32) bool {
+	return d.live[uint32(pp)>>6]&(1<<(uint32(pp)&63)) != 0
+}
+
+func (d *Device) setLive(pp int32) {
+	d.live[uint32(pp)>>6] |= 1 << (uint32(pp) & 63)
+}
+
+func (d *Device) clearLive(pp int32) {
+	d.live[uint32(pp)>>6] &^= 1 << (uint32(pp) & 63)
+}
+
+// nextLive returns the first live page in [from, end), or end if there is
+// none. It reads the bitmap a word at a time, so a GC scan skips invalid
+// pages without a branch per page.
+func (d *Device) nextLive(from, end int32) int32 {
+	if from >= end {
+		return end
+	}
+	w := uint32(from) >> 6
+	word := d.live[w] &^ (1<<(uint32(from)&63) - 1)
+	for word == 0 {
+		w++
+		if int32(w<<6) >= end {
+			return end
+		}
+		word = d.live[w]
+	}
+	if pp := int32(w<<6) + int32(bits.TrailingZeros64(word)); pp < end {
+		return pp
+	}
+	return end
 }
 
 // SubmitIO services the byte range [offset, offset+size) at instant now,
 // page by page through the mapping, and returns the completion instant of
 // the final page. Reads of unmapped pages fall back to the media's static
 // placement (the pre-FTL read path); writes allocate, remap, and may
-// trigger GC.
+// trigger GC. Consecutive pages of the range are consecutive logical
+// pages, wrapping at the end of the logical space, so only the first is
+// folded.
+//
+//ddvet:hotpath
 func (d *Device) SubmitIO(now sim.Time, offset, size int64, op flash.Op) sim.Time {
 	n := d.media.Pages(offset, size)
 	if n == 0 {
 		return now
 	}
 	firstAbs := offset / d.pageSize
+	lp := d.logicalPage(offset)
 	done := now
 	for i := int64(0); i < int64(n); i++ {
-		lp := d.logicalPage((firstAbs + i) * d.pageSize)
 		var t sim.Time
 		if op == flash.Read {
 			t = d.readPage(now, lp, firstAbs+i)
@@ -450,6 +539,9 @@ func (d *Device) SubmitIO(now sim.Time, offset, size int64, op flash.Op) sim.Tim
 		}
 		if t > done {
 			done = t
+		}
+		if lp++; lp == d.logPages {
+			lp = 0
 		}
 	}
 	return done
@@ -483,8 +575,8 @@ func (d *Device) writePage(now sim.Time, lp int64) sim.Time {
 			die = d.foregroundGC(now)
 		}
 	}
-	pp := d.allocPage(die, now, false)
-	d.remap(lp, pp)
+	pp, blk := d.allocPage(die, now, false)
+	d.remap(lp, pp, blk)
 	d.st.HostPagesWritten++
 	d.st.FlashPagesWritten++
 	t := d.media.SubmitAtDie(now, die, flash.Program)
@@ -514,45 +606,62 @@ func (d *Device) failProgram(now sim.Time, die int) {
 // in its physical block without any media work — the NVMe Deallocate (TRIM)
 // semantics that let GC skip dead data. Dies that gained invalidity get
 // their GC woken on a deferred event, not inline: the Deallocate itself
-// completes without touching the media.
+// completes without touching the media. The wakes are scheduled in the
+// order the range first touched each die.
+//
+//ddvet:hotpath
 func (d *Device) Trim(offset, size int64) int {
 	n := d.media.Pages(offset, size)
 	trimmed := 0
-	firstAbs := offset / d.pageSize
-	var woken []int
-	for i := int64(0); i < int64(n); i++ {
-		lp := d.logicalPage((firstAbs + i) * d.pageSize)
+	woken := 0
+	d.trims++
+	lp := d.logicalPage(offset)
+	for i := 0; i < n; i++ {
 		if pp := d.l2p[lp]; pp >= 0 {
 			die := d.dieOfPhys(pp)
 			d.unmapPhys(pp)
 			d.l2p[lp] = -1
 			trimmed++
-			seen := false
-			for _, w := range woken {
-				if w == die {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				woken = append(woken, die)
+			if ds := &d.dies[die]; ds.trimMark != d.trims {
+				ds.trimMark = d.trims
+				d.wake[woken] = die
+				woken++
 			}
 		}
+		if lp++; lp == d.logPages {
+			lp = 0
+		}
 	}
-	for _, die := range woken {
-		die := die
-		d.eng.At(d.eng.Now(), func() { d.maybeGC(die) })
+	for _, die := range d.wake[:woken] {
+		d.eng.AtArg(d.eng.Now(), trimWake, &d.dies[die])
 	}
 	d.st.TrimmedPages += uint64(trimmed)
 	return trimmed
+}
+
+// trimWake is a TRIM's deferred GC wake-up on one die.
+//
+//ddvet:hotpath
+func trimWake(arg any) {
+	ds := arg.(*dieState)
+	ds.dev.maybeGC(ds.idx)
+}
+
+// nextDie is the die after die in round-robin order.
+func (d *Device) nextDie(die int) int {
+	if die++; die == d.numDies {
+		return 0
+	}
+	return die
 }
 
 // pickDie round-robins over dies, returning the first that can absorb a
 // host write (room in the active block, or a spare free block beyond the GC
 // reserve), or -1 when the device is out of clean space everywhere.
 func (d *Device) pickDie() int {
-	for i := 1; i <= d.numDies; i++ {
-		idx := (d.allocRR + i) % d.numDies
+	idx := d.allocRR
+	for i := 0; i < d.numDies; i++ {
+		idx = d.nextDie(idx)
 		if d.hostCanAlloc(idx) {
 			d.allocRR = idx
 			return idx
@@ -575,8 +684,9 @@ func (d *Device) hostCanAlloc(die int) bool {
 // allocPage hands out the next physical page on the die in the host or GC
 // write stream, opening a new active block from the free list when the
 // stream's current one fills. GC relocation (gc=true) may take the last
-// free block; host writes may not (callers check hostCanAlloc first).
-func (d *Device) allocPage(die int, now sim.Time, gc bool) int32 {
+// free block; host writes may not (callers check hostCanAlloc first). It
+// returns the page and its block's index in blocks.
+func (d *Device) allocPage(die int, now sim.Time, gc bool) (int32, int) {
 	ds := &d.dies[die]
 	active, ptr := &ds.active, &ds.writePtr
 	if gc {
@@ -592,10 +702,11 @@ func (d *Device) allocPage(die int, now sim.Time, gc bool) int32 {
 		*active = d.openBlock(die)
 		*ptr = 0
 	}
-	pp := int32(d.blockBase(die, *active) + int64(*ptr))
+	blk := die*d.cfg.BlocksPerDie + *active
+	pp := int32(blk*d.ppb + *ptr)
 	*ptr++
-	d.blocks[d.blockOfPhys(pp)].lastWrite = now
-	return pp
+	d.blocks[blk].lastWrite = now
+	return pp, blk
 }
 
 // openBlock pops the least-erased free block of the die (dynamic wear
@@ -610,31 +721,39 @@ func (d *Device) openBlock(die int) int {
 		}
 	}
 	blk := ds.free[pick]
-	ds.free = append(ds.free[:pick], ds.free[pick+1:]...)
+	copy(ds.free[pick:], ds.free[pick+1:])
+	ds.free = ds.free[:len(ds.free)-1]
 	d.blocks[base+blk].free = false
 	return blk
 }
 
-// remap points lp at pp, invalidating any previous mapping. Invalidation is
-// what creates reclaimable space, so it also wakes GC on the die that lost
-// the page: a die too full to accept host writes is never a write
-// destination, and without this kick nothing would ever restart its chain —
-// overwrites landing elsewhere would starve it frozen at the reserve.
-func (d *Device) remap(lp int64, pp int32) {
+// remap points lp at pp, a fresh page of block blk, invalidating any
+// previous mapping. Invalidation is what creates reclaimable space, so it
+// also wakes GC on the die that lost the page: a die too full to accept
+// host writes is never a write destination, and without this kick nothing
+// would ever restart its chain — overwrites landing elsewhere would starve
+// it frozen at the reserve.
+func (d *Device) remap(lp int64, pp int32, blk int) {
 	if old := d.l2p[lp]; old >= 0 {
 		d.unmapPhys(old)
 		if !d.aging {
 			d.maybeGC(d.dieOfPhys(old))
 		}
 	}
-	d.l2p[lp] = pp
-	d.p2l[pp] = int32(lp)
-	d.blocks[d.blockOfPhys(pp)].valid++
+	d.mapPage(int32(lp), pp, blk)
 }
 
-// unmapPhys invalidates one physical page.
+// mapPage points lp at pp, a fresh page of block blk.
+func (d *Device) mapPage(lp, pp int32, blk int) {
+	d.l2p[lp] = pp
+	d.p2l[pp] = lp
+	d.setLive(pp)
+	d.blocks[blk].valid++
+}
+
+// unmapPhys invalidates one physical page. Its p2l entry goes stale.
 func (d *Device) unmapPhys(pp int32) {
-	d.p2l[pp] = -1
+	d.clearLive(pp)
 	d.blocks[d.blockOfPhys(pp)].valid--
 }
 
@@ -681,48 +800,100 @@ func (d *Device) gcStep(die int) {
 	victim := ds.gcVictim
 	batchDone := d.relocate(die, victim, d.cfg.GCBatchPages)
 	if ds.gcScan < d.ppb {
-		gen := ds.gcGen
-		d.eng.At(batchDone, func() {
-			if ds.gcGen == gen && ds.gcVictim == victim {
-				d.gcStep(die)
-			}
-		})
+		d.eng.AtArg(batchDone, gcStepWake, d.allocCont(die, ds.gcGen, victim))
 		return
 	}
 	d.gcFinishRound(die)
 }
 
+// gcStepWake runs the round's next relocation step, unless a takeover
+// voided the round meanwhile.
+//
+//ddvet:hotpath
+func gcStepWake(arg any) {
+	c := arg.(*gcCont)
+	d, die, gen, victim := c.d, c.die, c.gen, c.victim
+	d.freeCont(c)
+	if ds := &d.dies[die]; ds.gcGen == gen && ds.gcVictim == victim {
+		d.gcStep(die)
+	}
+}
+
+// gcRoundWake opens the die's next round at the previous victim's erase
+// completion, unless a takeover or the chain's end voided it meanwhile.
+//
+//ddvet:hotpath
+func gcRoundWake(arg any) {
+	c := arg.(*gcCont)
+	d, die, gen := c.d, c.die, c.gen
+	d.freeCont(c)
+	if ds := &d.dies[die]; ds.gcGen == gen && ds.gcOn && ds.gcVictim < 0 {
+		d.gcBeginRound(die)
+	}
+}
+
+// allocCont takes a GC continuation record from the free list, carving a
+// new chunk when it is empty.
+func (d *Device) allocCont(die int, gen uint64, victim int) *gcCont {
+	var c *gcCont
+	if n := len(d.freeConts); n > 0 {
+		c = d.freeConts[n-1]
+		d.freeConts = d.freeConts[:n-1]
+	} else {
+		if len(d.contSlab) == 0 {
+			d.contSlab = make([]gcCont, gcContChunk)
+		}
+		c = &d.contSlab[0]
+		d.contSlab = d.contSlab[1:]
+		d.conts++
+	}
+	*c = gcCont{d: d, die: die, gen: gen, victim: victim, live: true}
+	return c
+}
+
+// freeCont returns a record to the free list.
+func (d *Device) freeCont(c *gcCont) {
+	if !c.live {
+		panic("ftl: GC continuation record freed twice")
+	}
+	c.live = false
+	d.freeConts = append(d.freeConts, c)
+}
+
 // relocate moves up to limit valid pages of the victim block (from the
 // round's scan cursor) to freshly allocated pages on the same die, issuing
-// the read/program work into the die FIFO. It advances the cursor and
+// the read/program work into the die FIFO. It advances the cursor past the
+// last page moved (to the block's end once no valid page is left) and
 // returns the completion instant of the last program (now if none moved).
+//
+//ddvet:hotpath
 func (d *Device) relocate(die, victim, limit int) sim.Time {
 	ds := &d.dies[die]
 	now := d.eng.Now()
-	base := d.blockBase(die, victim)
+	vblk := die*d.cfg.BlocksPerDie + victim
+	base := int32(vblk * d.ppb)
+	end := base + int32(d.ppb)
 	moved := 0
 	batchDone := now
-	i := ds.gcScan
-	for ; i < d.ppb && moved < limit; i++ {
-		pp := int32(base + int64(i))
-		lp := d.p2l[pp]
-		if lp < 0 {
-			continue
+	pp := base + int32(ds.gcScan)
+	for moved < limit {
+		if pp = d.nextLive(pp, end); pp == end {
+			break
 		}
 		d.media.SubmitAtDie(now, die, flash.Read)
-		dest := d.allocPage(die, now, true)
-		d.unmapPhys(pp)
-		d.l2p[lp] = dest
-		d.p2l[dest] = lp
-		d.blocks[d.blockOfPhys(dest)].valid++
+		dest, blk := d.allocPage(die, now, true)
+		d.clearLive(pp)
+		d.blocks[vblk].valid--
+		d.mapPage(d.p2l[pp], dest, blk)
 		if t := d.media.SubmitAtDie(now, die, flash.Program); t > batchDone {
 			batchDone = t
 		}
 		d.st.GCPagesMoved++
 		d.st.FlashPagesWritten++
 		moved++
+		pp++
 	}
-	ds.gcScan = i
+	ds.gcScan = int(pp - base)
 	return batchDone
 }
 
@@ -739,12 +910,7 @@ func (d *Device) gcFinishRound(die int) {
 	d.st.GCRuns++
 	ds.gcVictim = -1
 	ds.gcGen++
-	gen := ds.gcGen
-	d.eng.At(eraseDone, func() {
-		if ds.gcGen == gen && ds.gcOn && ds.gcVictim < 0 {
-			d.gcBeginRound(die)
-		}
-	})
+	d.eng.AtArg(eraseDone, gcRoundWake, d.allocCont(die, ds.gcGen, -1))
 }
 
 // eraseBlock issues the erase into the die FIFO (it lands after the
@@ -757,6 +923,9 @@ func (d *Device) eraseBlock(die, victim int) sim.Time {
 	meta := &d.blocks[die*d.cfg.BlocksPerDie+victim]
 	if meta.valid != 0 {
 		panic("ftl: erasing a block with valid pages")
+	}
+	if meta.free {
+		panic("ftl: erasing a block already in the free pool")
 	}
 	eraseDone := d.media.SubmitAtDie(d.eng.Now(), die, flash.Erase)
 	meta.erases++
@@ -775,37 +944,60 @@ func (d *Device) eraseBlock(die, victim int) sim.Time {
 	}
 	meta.bad = false
 	meta.free = true
-	ds.free = append(ds.free, victim)
+	// The pool holds block indexes, not recycled records, so nothing is
+	// left stale; the meta.free check above is its double-free guard.
+	ds.free = append(ds.free, victim) //lint:ddvet:allow slabsafety block indexes, not records; meta.free is the double-free guard
 	return eraseDone
 }
 
 // selectVictim picks the die's next GC victim per the configured policy,
 // skipping the active block, free blocks, a victim already under
-// collection, and fully valid blocks (nothing to reclaim). Returns -1 when
+// collection, and fully valid blocks (nothing to reclaim). Ties go to the
+// less-worn block (wear-aware), then to the lower index. Returns -1 when
 // no block qualifies.
+//
+// Greedy (fewest valid pages, the highest 1-u score) ranks blocks by one
+// integer key, valid count above erase count, so the scan makes a single
+// comparison per block and checks the die's open and collected blocks only
+// for a block that would win.
 func (d *Device) selectVictim(die int) int {
 	ds := &d.dies[die]
-	base := die * d.cfg.BlocksPerDie
+	blocks := d.blocks[die*d.cfg.BlocksPerDie : (die+1)*d.cfg.BlocksPerDie]
+	if d.cfg.Policy == CostBenefit {
+		return d.costBenefitVictim(ds, blocks)
+	}
+	best := -1
+	bestKey := uint64(math.MaxUint64)
+	for b := range blocks {
+		meta := &blocks[b]
+		if meta.free || meta.retired || int(meta.valid) >= d.ppb {
+			continue
+		}
+		key := uint64(meta.valid)<<32 | uint64(meta.erases)
+		if key < bestKey && b != ds.active && b != ds.gcActive && b != ds.gcVictim {
+			best, bestKey = b, key
+		}
+	}
+	return best
+}
+
+// costBenefitVictim is selectVictim's cost-benefit scan: the highest
+// (1-u)/(1+u)·age score.
+func (d *Device) costBenefitVictim(ds *dieState, blocks []blockMeta) int {
 	best := -1
 	var bestScore float64
 	now := d.eng.Now()
-	for b := 0; b < d.cfg.BlocksPerDie; b++ {
-		meta := &d.blocks[base+b]
+	for b := range blocks {
+		meta := &blocks[b]
 		if meta.free || meta.retired || b == ds.active || b == ds.gcActive ||
-			b == ds.gcVictim || meta.valid >= d.ppb {
+			b == ds.gcVictim || int(meta.valid) >= d.ppb {
 			continue
 		}
-		var score float64
 		u := float64(meta.valid) / float64(d.ppb)
-		if d.cfg.Policy == CostBenefit {
-			age := float64(now.Sub(meta.lastWrite)) + 1
-			score = (1 - u) / (1 + u) * age
-		} else {
-			score = 1 - u // greedy: fewest valid pages
-		}
-		// Wear-aware tie-break: prefer the less-worn block.
+		age := float64(now.Sub(meta.lastWrite)) + 1
+		score := (1 - u) / (1 + u) * age
 		if best < 0 || score > bestScore ||
-			(score == bestScore && meta.erases < d.blocks[base+best].erases) {
+			(score == bestScore && meta.erases < blocks[best].erases) {
 			best, bestScore = b, score
 		}
 	}
@@ -821,8 +1013,9 @@ func (d *Device) selectVictim(die int) int {
 // die is tried. Returns the die that now has space.
 func (d *Device) foregroundGC(now sim.Time) int {
 	d.st.ForegroundGCs++
-	for i := 1; i <= d.numDies; i++ {
-		die := (d.allocRR + i) % d.numDies
+	die := d.allocRR
+	for i := 0; i < d.numDies; i++ {
+		die = d.nextDie(die)
 		ds := &d.dies[die]
 		// The stalled program waits behind whatever these rounds push into
 		// the die FIFO: the free-horizon growth beyond max(now, horizon) is
@@ -900,12 +1093,14 @@ func (d *Device) precondition() {
 // opening of every experiment would measure that artifact. Reports false
 // when no die can absorb another write under that constraint.
 func (d *Device) preWrite(lp int64) bool {
-	for i := 1; i <= d.numDies; i++ {
-		die := (d.allocRR + i) % d.numDies
+	die := d.allocRR
+	for i := 0; i < d.numDies; i++ {
+		die = d.nextDie(die)
 		ds := &d.dies[die]
 		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.highWater {
 			d.allocRR = die
-			d.remap(lp, d.allocPage(die, 0, false))
+			pp, blk := d.allocPage(die, 0, false)
+			d.remap(lp, pp, blk)
 			return true
 		}
 	}
@@ -913,9 +1108,12 @@ func (d *Device) preWrite(lp int64) bool {
 }
 
 // CheckInvariants verifies the mapping-table invariants the fuzzer asserts:
-// L2P/P2L are mutually consistent (no physical page mapped twice), per-block
-// valid counts match the reverse map, free blocks are empty, and no die's
-// free pool is negative or over capacity.
+// L2P/P2L are mutually consistent (no physical page mapped twice), the live
+// bitmap marks exactly the mapped physical pages (so a stale p2l entry is
+// never taken for a valid one), per-block valid counts match the bitmap,
+// free blocks are empty, and no die's free pool is negative or over
+// capacity. Once the engine has drained, every GC continuation record must
+// be back in the pool.
 func (d *Device) CheckInvariants() error {
 	mappedL := 0
 	for lp, pp := range d.l2p {
@@ -926,27 +1124,43 @@ func (d *Device) CheckInvariants() error {
 		if int64(pp) >= d.physPages {
 			return fmt.Errorf("l2p[%d] = %d beyond physical space", lp, pp)
 		}
+		if !d.isLive(pp) {
+			return fmt.Errorf("l2p[%d] = %d but the page's live bit is clear", lp, pp)
+		}
 		if d.p2l[pp] != int32(lp) {
 			return fmt.Errorf("l2p[%d] = %d but p2l[%d] = %d", lp, pp, pp, d.p2l[pp])
 		}
 	}
 	mappedP := 0
-	validByBlock := make([]int, len(d.blocks))
-	for pp, lp := range d.p2l {
-		if lp < 0 {
+	validByBlock := make([]int32, len(d.blocks))
+	for pp := int32(0); int64(pp) < d.physPages; pp++ {
+		if !d.isLive(pp) {
 			continue
 		}
 		mappedP++
-		if int64(lp) >= d.logPages {
-			return fmt.Errorf("p2l[%d] = %d beyond logical space", pp, lp)
+		lp := d.p2l[pp]
+		if lp < 0 || int64(lp) >= d.logPages {
+			return fmt.Errorf("live page %d: p2l = %d outside the logical space", pp, lp)
 		}
-		if d.l2p[lp] != int32(pp) {
-			return fmt.Errorf("p2l[%d] = %d but l2p[%d] = %d (physical page mapped twice?)", pp, lp, lp, d.l2p[lp])
+		if d.l2p[lp] != pp {
+			return fmt.Errorf("live page %d: p2l = %d but l2p[%d] = %d (stale entry taken as valid?)", pp, lp, lp, d.l2p[lp])
 		}
-		validByBlock[d.blockOfPhys(int32(pp))]++
+		validByBlock[d.blockOfPhys(pp)]++
 	}
 	if mappedL != mappedP {
-		return fmt.Errorf("%d logical mappings vs %d physical (aliasing)", mappedL, mappedP)
+		return fmt.Errorf("%d logical mappings vs %d live physical pages (aliasing)", mappedL, mappedP)
+	}
+	if tail := d.physPages % 64; tail != 0 && d.live[len(d.live)-1]>>tail != 0 {
+		return fmt.Errorf("live bits set beyond the %d physical pages", d.physPages)
+	}
+	if d.eng.Pending() == 0 && len(d.freeConts) != d.conts {
+		return fmt.Errorf("engine drained but %d of %d GC continuation records are outside the pool",
+			d.conts-len(d.freeConts), d.conts)
+	}
+	for _, c := range d.freeConts {
+		if c.live {
+			return fmt.Errorf("GC continuation record for die %d pooled while live", c.die)
+		}
 	}
 	for b := range d.blocks {
 		if d.blocks[b].valid != validByBlock[b] {

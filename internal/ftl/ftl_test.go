@@ -270,3 +270,36 @@ func TestResetStatsKeepsMapping(t *testing.T) {
 		t.Fatalf("invariants after reset: %v", err)
 	}
 }
+
+// TestNextLiveMatchesPageScan checks the word-at-a-time bitmap scan
+// against a page-by-page one, over ranges that start and end inside
+// words, span several words, and run to the bitmap's end.
+func TestNextLiveMatchesPageScan(t *testing.T) {
+	rng := sim.NewRand(17)
+	d := &Device{live: make([]uint64, 4)}
+	for trial := 0; trial < 2000; trial++ {
+		for i := range d.live {
+			// Sparse and dense words alike, plus empty ones.
+			switch rng.Intn(3) {
+			case 0:
+				d.live[i] = 0
+			case 1:
+				d.live[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			default:
+				d.live[i] = rng.Uint64()
+			}
+		}
+		from := int32(rng.Intn(257))
+		end := int32(rng.Intn(257))
+		want := end
+		for pp := from; pp < end; pp++ {
+			if d.isLive(pp) {
+				want = pp
+				break
+			}
+		}
+		if got := d.nextLive(from, end); got != want {
+			t.Fatalf("nextLive(%d, %d) = %d, want %d (bitmap %x)", from, end, got, want, d.live)
+		}
+	}
+}

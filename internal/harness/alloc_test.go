@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"daredevil/internal/ftl"
 	"daredevil/internal/sim"
+	"daredevil/internal/workload"
 )
 
 // The allocation gates for the whole simulator. They count heap
@@ -169,4 +171,55 @@ func allocBytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// agedWarmup runs the aged cell past its first GC rounds: preconditioning
+// hands over every die at the high watermark, and random rewrites with
+// TRIM push the dies into collection within the first tens of ms.
+const agedWarmup = 300 * sim.Millisecond
+
+// TestAgedSteadyStateAllocFree runs the aged-device shape of
+// examples/scenarios/aged.json (FTL at OP 15, 4 L-tenants plus 4
+// random-write T-tenants at qd 4 that TRIM every 8th request) on
+// daredevil and vanilla, and checks the warmed-up cell allocates nothing:
+// every GC step, round and TRIM wake-up must reuse a pooled continuation
+// record or a pre-bound function.
+func TestAgedSteadyStateAllocFree(t *testing.T) {
+	for _, kind := range []StackKind{DareFull, Vanilla} {
+		t.Run(string(kind), func(t *testing.T) {
+			m := SVM(4)
+			fcfg := ftl.DefaultConfig()
+			fcfg.OPPct = 15
+			m.FTL = &fcfg
+			c := NewCell(m, kind)
+			c.Mix.AddL(4, 0)
+			for i := 0; i < 4; i++ {
+				cfg := workload.DefaultTTenant("rewrite", i%c.Env.Pool.N())
+				cfg.Pattern = workload.Random
+				cfg.ReadPct = 0
+				cfg.IODepth = 4
+				cfg.TrimEvery = 8
+				c.Mix.addJob(100+i, cfg)
+			}
+			c.Mix.StartAll()
+			end := sim.Time(agedWarmup)
+			c.Env.Eng.RunUntil(end)
+			gc0 := c.Env.FTL.Stats()
+			// The same truncated mean per simulated ms as the device-path
+			// gate: rare high-water growth may land after the warm-up,
+			// while a closure per GC step, round or TRIM wake costs
+			// several per ms and fails.
+			allocs := testing.AllocsPerRun(steadyWindow, func() {
+				end += sim.Time(sim.Millisecond)
+				c.Env.Eng.RunUntil(end)
+			})
+			gc := c.Env.FTL.Stats()
+			if gc.GCRuns == gc0.GCRuns || gc.TrimmedPages == gc0.TrimmedPages {
+				t.Fatalf("no GC round or TRIM in the measured window after a %v warm-up (%+v)", agedWarmup, gc)
+			}
+			if allocs != 0 {
+				t.Fatalf("%.0f allocs per simulated ms after a %v warm-up, want 0", allocs, agedWarmup)
+			}
+		})
+	}
 }
