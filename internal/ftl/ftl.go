@@ -284,9 +284,6 @@ type Device struct {
 	trims uint64
 
 	allocRR int // host-allocation die cursor
-	// aging suppresses GC wake-ups while preconditioning remaps pages
-	// (preconditioning is pure accounting; real GC would touch the media).
-	aging bool
 	// inj, when attached, injects program failures that grow bad blocks.
 	inj *fault.Injector
 	// tracer, when attached, receives GC-round ranges for the trace
@@ -353,9 +350,6 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 	d.l2p = make([]int32, d.logPages)
 	d.p2l = make([]int32, d.physPages)
 	d.live = make([]uint64, (d.physPages+63)/64)
-	for i := range d.l2p {
-		d.l2p[i] = -1
-	}
 	d.blocks = make([]blockMeta, d.numDies*cfg.BlocksPerDie)
 	d.dies = make([]dieState, d.numDies)
 	d.wake = make([]int, d.numDies)
@@ -371,9 +365,7 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 			d.blocks[i*cfg.BlocksPerDie+b].free = true
 		}
 	}
-	d.aging = true
 	d.precondition()
-	d.aging = false
 	d.ResetStats()
 	return d
 }
@@ -736,9 +728,7 @@ func (d *Device) openBlock(die int) int {
 func (d *Device) remap(lp int64, pp int32, blk int) {
 	if old := d.l2p[lp]; old >= 0 {
 		d.unmapPhys(old)
-		if !d.aging {
-			d.maybeGC(d.dieOfPhys(old))
-		}
+		d.maybeGC(d.dieOfPhys(old))
 	}
 	d.mapPage(int32(lp), pp, blk)
 }
@@ -1060,51 +1050,114 @@ func (d *Device) foregroundGC(now sim.Time) int {
 // precondition ages the device: map PreconditionPct of the logical space
 // sequentially, then overwrite ScramblePct of those pages in a
 // deterministic pseudo-random order to fragment block validity. It runs in
-// pure accounting (no media work, no events) — preconditioning happens
-// "before" the simulation starts, as the paper pre-conditions the disk
-// before each experiment. ScramblePct is an upper bound: scrambling stops
-// once the clean spare is consumed, leaving the invalidity it created
-// spread across the data blocks. (Compacting with an accounting GC instead
-// would hand over a device whose every block is fully valid — a state
-// where the first real GC rounds are pathologically expensive and nothing
-// like a steady-state aged drive.)
+// pure accounting (no media work, no events, no GC) — preconditioning
+// happens "before" the simulation starts, as the paper pre-conditions the
+// disk before each experiment.
+//
+// A die takes preconditioning writes only while its host active block has
+// room or it holds more than highWater free blocks, so the aged device
+// starts with a full high-water free pool on every die and no die already
+// inside the GC-trigger zone — otherwise every die would fire a
+// synchronized GC wave at t=0 and the opening of every experiment would
+// measure that artifact. The fill stops once no die can take a page (the
+// filled prefix stands), and ScramblePct is an upper bound: scrambling
+// runs only after a complete fill and stops once the clean spare is
+// consumed, leaving the invalidity it created spread across the data
+// blocks. (Compacting with an accounting GC instead would hand over a
+// device whose every block is fully valid — a state where the first real
+// GC rounds are pathologically expensive and nothing like a steady-state
+// aged drive.)
+//
+// The state is computed in closed form, not by allocating page by page.
+// The device is fresh: no block has been erased or retired, so each die
+// opens its free blocks in index order, and every die holds the same
+// capacity of (BlocksPerDie-highWater)·PagesPerBlock pages. The
+// round-robin host cursor therefore accepts the next die every time, all
+// dies fill in lockstep, and the preconditioning stream is fixed: its
+// write j lands on die (j+1) mod N at that die's page j/N. Only the
+// scramble's overwrites depend on the data; every die's blocks, free list
+// and cursors follow from the number of pages it took.
 func (d *Device) precondition() {
+	n := int64(d.numDies)
+	capacity := n * int64(max(0, d.cfg.BlocksPerDie-d.highWater)*d.ppb)
 	fill := d.logPages * int64(d.cfg.PreconditionPct) / 100
-	for lp := int64(0); lp < fill; lp++ {
-		if !d.preWrite(lp) {
-			break // out of clean space; the filled prefix stands
+	mapped := min(fill, capacity)
+	var scramble int64
+	if mapped == fill && d.cfg.ScramblePct > 0 {
+		scramble = min(fill*int64(d.cfg.ScramblePct)/100, capacity-mapped)
+	}
+	written := mapped + scramble
+
+	// The fill: write lp maps logical page lp. l2p is stored in logical
+	// order, one round of dies at a time, and p2l die by die in page
+	// order, so both passes store sequentially.
+	ppd := int32(d.pagesPerDie)
+	for lp, page := int64(0), int32(0); lp < mapped; page++ {
+		for i := 0; i < d.numDies && lp < mapped; i, lp = i+1, lp+1 {
+			d.l2p[lp] = int32(d.nextDie(i))*ppd + page
 		}
 	}
-	if d.cfg.ScramblePct > 0 && fill > 0 {
+	for lp := mapped; lp < d.logPages; lp++ {
+		d.l2p[lp] = -1
+	}
+	bpd := d.cfg.BlocksPerDie
+	for k := range d.dies {
+		// The die takes the write at position i of every round.
+		i := int64((k + d.numDies - 1) % d.numDies)
+		base := int32(k) * ppd
+		p2l := d.p2l[base : base+ppd]
+		for page, lp := 0, i; lp < mapped; page, lp = page+1, lp+n {
+			p2l[page] = int32(lp)
+		}
+		// Every page the stream writes is live and counted in its block
+		// until the scramble below overwrites it.
+		pages := int(written / n)
+		if i < written%n {
+			pages++
+		}
+		d.setLiveRange(base, base+int32(pages))
+		opened := (pages + d.ppb - 1) / d.ppb
+		blocks := d.blocks[k*bpd : k*bpd+opened]
+		for b := range blocks {
+			blocks[b].valid = int32(d.ppb)
+			blocks[b].free = false
+		}
+		ds := &d.dies[k]
+		if opened > 0 {
+			ds.active = opened - 1
+			ds.writePtr = pages - ds.active*d.ppb
+			blocks[ds.active].valid = int32(ds.writePtr)
+		}
+		// openBlock's pops, in place: the pool keeps its backing array,
+		// so eraseBlock's appends never grow it.
+		ds.free = ds.free[:copy(ds.free, ds.free[opened:])]
+	}
+	d.allocRR = int(written % n)
+
+	if scramble > 0 {
 		rng := sim.NewRand(d.cfg.Seed + 0xa9ed)
-		n := fill * int64(d.cfg.ScramblePct) / 100
-		for i := int64(0); i < n; i++ {
-			if !d.preWrite(rng.Int63n(fill)) {
-				break
+		die, page := d.nextDie(int(mapped%n)), int32(mapped/n) // write mapped
+		for ; scramble > 0; scramble-- {
+			lp := rng.Int63n(fill)
+			d.unmapPhys(d.l2p[lp])
+			pp := int32(die)*ppd + page
+			d.l2p[lp] = pp
+			d.p2l[pp] = int32(lp)
+			if die = d.nextDie(die); die == d.nextDie(0) {
+				page++ // the next write opens a new round
 			}
 		}
 	}
 }
 
-// preWrite maps one logical page during preconditioning. It is stricter
-// than the runtime path: each die keeps a full high-water free pool, so the
-// aged device starts with no die already inside the GC-trigger zone —
-// otherwise every die would fire a synchronized GC wave at t=0 and the
-// opening of every experiment would measure that artifact. Reports false
-// when no die can absorb another write under that constraint.
-func (d *Device) preWrite(lp int64) bool {
-	die := d.allocRR
-	for i := 0; i < d.numDies; i++ {
-		die = d.nextDie(die)
-		ds := &d.dies[die]
-		if (ds.active >= 0 && ds.writePtr < d.ppb) || len(ds.free) > d.highWater {
-			d.allocRR = die
-			pp, blk := d.allocPage(die, 0, false)
-			d.remap(lp, pp, blk)
-			return true
-		}
+// setLiveRange marks the physical pages [from, to) live, a bitmap word at
+// a time.
+func (d *Device) setLiveRange(from, to int32) {
+	for pp := from; pp < to; {
+		n := min(uint32(to-pp), 64-uint32(pp)&63)
+		d.live[uint32(pp)>>6] |= ^uint64(0) >> (64 - n) << (uint32(pp) & 63)
+		pp += int32(n)
 	}
-	return false
 }
 
 // CheckInvariants verifies the mapping-table invariants the fuzzer asserts:

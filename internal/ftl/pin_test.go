@@ -85,38 +85,60 @@ func pinStream(eng *sim.Engine, d *Device, seed uint64, ops int, h hash.Hash64) 
 	h.Write(b[:])
 }
 
-// TestFTLStatePinned pins the FTL's mapping, block, free-list and GC
-// state after preconditioning and after a seeded write/TRIM stream, on
-// three geometries: the greedy default, cost-benefit victim selection,
-// and a non-power-of-two block size with program failures growing bad
-// blocks. The experiment goldens only reach greedy with 64-page blocks;
-// this is what catches a mapping or GC drift on the other paths.
-func TestFTLStatePinned(t *testing.T) {
-	cases := []struct {
-		name           string
-		cfg            func() Config
-		failProb       float64
-		aged, streamed uint64
-		timings        uint64
-	}{
-		{"greedy", smallFTL, 0, 0xbe92b59285463577, 0x08a85e85f60f181c, 0xbc507175e166d2f4},
+// pinGeometry is one of the geometries the FTL's state is pinned on.
+type pinGeometry struct {
+	name     string
+	cfg      func() Config
+	failProb float64 // program-failure probability of its fault injector
+}
+
+// pinGeometries are the greedy default, cost-benefit victim selection, and
+// a non-power-of-two block size with program failures growing bad blocks.
+func pinGeometries() []pinGeometry {
+	return []pinGeometry{
+		{"greedy", smallFTL, 0},
 		{"cost-benefit", func() Config {
 			c := smallFTL()
 			c.Policy = CostBenefit
 			return c
-		}, 0, 0xbe92b59285463577, 0xc3d51603a595e0dc, 0x7182d29cc822e8f2},
+		}, 0},
 		{"ppb24-faults", func() Config {
 			c := smallFTL()
 			c.PagesPerBlock = 24
 			return c
-		}, 0.01, 0x580e950712044180, 0x6a230503dffc34ce, 0x16ab525e271cac7e},
+		}, 0.01},
+	}
+}
+
+// newPinned builds the geometry's device and attaches its fault injector.
+func newPinned(t *testing.T, g pinGeometry) (*sim.Engine, *Device) {
+	t.Helper()
+	eng, d := newSmall(t, g.cfg())
+	if g.failProb > 0 {
+		d.AttachFault(fault.NewInjector(fault.Schedule{Seed: 3, ProgramFailProb: g.failProb}))
+	}
+	return eng, d
+}
+
+// TestFTLStatePinned pins the FTL's mapping, block, free-list and GC
+// state after preconditioning and after a seeded write/TRIM stream, on
+// the three pinGeometries. The experiment goldens only reach greedy with
+// 64-page blocks; this is what catches a mapping or GC drift on the other
+// paths.
+func TestFTLStatePinned(t *testing.T) {
+	geos := pinGeometries()
+	cases := []struct {
+		pinGeometry
+		aged, streamed uint64
+		timings        uint64
+	}{
+		{geos[0], 0xbe92b59285463577, 0x08a85e85f60f181c, 0xbc507175e166d2f4},
+		{geos[1], 0xbe92b59285463577, 0xc3d51603a595e0dc, 0x7182d29cc822e8f2},
+		{geos[2], 0x580e950712044180, 0x6a230503dffc34ce, 0x16ab525e271cac7e},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			eng, d := newSmall(t, c.cfg())
-			if c.failProb > 0 {
-				d.AttachFault(fault.NewInjector(fault.Schedule{Seed: 3, ProgramFailProb: c.failProb}))
-			}
+			eng, d := newPinned(t, c.pinGeometry)
 			if got := stateHash(d); got != c.aged {
 				t.Errorf("after preconditioning: state hash %#x, want %#x", got, c.aged)
 			}
@@ -136,6 +158,39 @@ func TestFTLStatePinned(t *testing.T) {
 			}
 			if got := th.Sum64(); got != c.timings {
 				t.Errorf("stream completion instants hash %#x, want %#x", got, c.timings)
+			}
+		})
+	}
+}
+
+// TestFTLMediaAccounting checks the FTL's counters against the media's
+// own, across the layer boundary, on the pinGeometries: preconditioning
+// issues no media work, and after the pinned stream every page the media
+// programmed, read or erased is one the FTL accounts for — host and GC
+// programs plus failed attempts, host reads plus GC relocation reads, and
+// victim erases.
+func TestFTLMediaAccounting(t *testing.T) {
+	for _, g := range pinGeometries() {
+		t.Run(g.name, func(t *testing.T) {
+			eng, d := newPinned(t, g)
+			if fl := d.media.Stats(); fl != (flash.Stats{}) {
+				t.Fatalf("preconditioning issued media work: %+v", fl)
+			}
+			pinStream(eng, d, 0x5eed, 3000, fnv.New64a())
+			fl, st := d.media.Stats(), d.Stats()
+			if st.GCPagesMoved == 0 || st.HostPagesRead == 0 || (g.failProb > 0 && st.ProgramFailures == 0) {
+				t.Fatalf("the stream must drive GC relocation, host reads and (with faults) program failures: %+v", st)
+			}
+			if fl.PagesWritten != st.FlashPagesWritten+st.ProgramFailures {
+				t.Errorf("media programmed %d pages, FTL accounts for %d (%d flash pages written + %d failed programs)",
+					fl.PagesWritten, st.FlashPagesWritten+st.ProgramFailures, st.FlashPagesWritten, st.ProgramFailures)
+			}
+			if fl.PagesRead != st.HostPagesRead+st.GCPagesMoved {
+				t.Errorf("media read %d pages, FTL accounts for %d (%d host + %d GC relocation reads)",
+					fl.PagesRead, st.HostPagesRead+st.GCPagesMoved, st.HostPagesRead, st.GCPagesMoved)
+			}
+			if fl.Erases != st.Erases {
+				t.Errorf("media erased %d blocks, FTL counts %d", fl.Erases, st.Erases)
 			}
 		})
 	}

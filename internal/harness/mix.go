@@ -18,7 +18,8 @@ type Mix struct {
 	LJobs []*workload.Job
 	TJobs []*workload.Job
 	// SeedShift perturbs every subsequently added job's random stream —
-	// set it before AddL/AddT to re-run an experiment with fresh draws.
+	// set it before AddL/AddT/AddTL to re-run an experiment with fresh
+	// draws.
 	SeedShift uint64
 	ids       idGen
 }
@@ -55,6 +56,7 @@ func (m *Mix) AddTL(n, ns int) {
 		cfg := workload.DefaultTTenant("fio-TL", len(m.TJobs)%m.Env.Pool.N())
 		cfg.Class = block.ClassRT
 		cfg.Namespace = ns
+		cfg.Seed += m.SeedShift
 		m.TJobs = append(m.TJobs, workload.NewJob(m.ids.get(), cfg))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"daredevil/internal/sim"
+	"daredevil/internal/workload"
 )
 
 var smokeScale = Scale{Warmup: 30 * sim.Millisecond, Measure: 120 * sim.Millisecond}
@@ -81,5 +82,32 @@ func TestPressureSweepShapes(t *testing.T) {
 	}
 	if dd.TMBps < van.TMBps*0.7 {
 		t.Errorf("daredevil T throughput (%.0f) not comparable to vanilla (%.0f)", dd.TMBps, van.TMBps)
+	}
+}
+
+// TestAddTLSeedShift checks that AddTL honours SeedShift as AddL and AddT
+// do: shift 0 leaves fig13's TL-tenant seeds as they were (so its pinned
+// bytes hold), and shift 1 moves every one of them.
+func TestAddTLSeedShift(t *testing.T) {
+	seeds := func(shift uint64) ([]uint64, int) {
+		mix := NewCell(fig13Machine(), DareFull).Mix
+		mix.SeedShift = shift
+		mix.AddTL(16, 0)
+		var s []uint64
+		for _, j := range mix.TJobs {
+			s = append(s, j.Cfg.Seed)
+		}
+		return s, mix.Env.Pool.N()
+	}
+	base, cores := seeds(0)
+	shifted, _ := seeds(1)
+	for i := range base {
+		want := workload.DefaultTTenant("fio-TL", i%cores).Seed
+		if base[i] != want {
+			t.Errorf("shift 0: TL-tenant %d seed %d, want fig13's %d", i, base[i], want)
+		}
+		if shifted[i] != want+1 {
+			t.Errorf("shift 1: TL-tenant %d seed %d, want %d", i, shifted[i], want+1)
+		}
 	}
 }
