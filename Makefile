@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench-all figures svg json obs prof examples serve serve-smoke lint lint-cold vet fmt cover clean
+.PHONY: all build test test-short race bench-all figures svg json obs prof examples serve serve-smoke lint vet fmt cover clean
 
 all: build test
 
@@ -66,16 +66,11 @@ examples:
 
 # The determinism and hot-path lint suite (see internal/analysis): must be
 # clean before merge. go vet and gofmt ride along so `make lint` is the one
-# local command matching CI's lint job. ddvet keeps a per-package result
-# cache in out/ddvetcache, so a repeat run on an unchanged tree is mostly
-# one go list; `make lint-cold` bypasses it.
+# local command matching CI's lint job.
 lint:
 	$(GO) run ./cmd/ddvet -timings ./...
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
-
-lint-cold:
-	$(GO) run ./cmd/ddvet -nocache -timings ./...
 
 vet:
 	$(GO) vet ./...

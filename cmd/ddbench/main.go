@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -138,6 +139,25 @@ func realMain() int {
 	return 0
 }
 
+// artifact is one output file: its name within the output directory and
+// its bytes.
+type artifact struct {
+	name string
+	data []byte
+}
+
+// writeArtifacts writes each artifact into dir and reports its path on w.
+func writeArtifacts(w io.Writer, dir string, arts ...artifact) error {
+	for _, a := range arts {
+		path := filepath.Join(dir, a.name)
+		if err := os.WriteFile(path, a.data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "[wrote %s]\n", path)
+	}
+	return nil
+}
+
 // runObs runs the instrumented demo cell (Daredevil under brownout with
 // tracing, metrics sampling, and the flight recorder armed) and writes its
 // four exports into dir.
@@ -149,22 +169,11 @@ func runObs(dir string, sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, out := range []struct {
-		name string
-		data []byte
-	}{
-		{"trace.json", d.Trace},
-		{"metrics.csv", d.Metrics},
-		{"metrics.svg", d.SVG},
-		{"flight.txt", d.Flight},
-	} {
-		path := filepath.Join(dir, out.name)
-		if err := os.WriteFile(path, out.data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("[wrote %s]\n", path)
-	}
-	return nil
+	return writeArtifacts(os.Stdout, dir,
+		artifact{"trace.json", d.Trace},
+		artifact{"metrics.csv", d.Metrics},
+		artifact{"metrics.svg", d.SVG},
+		artifact{"flight.txt", d.Flight})
 }
 
 // runProf runs the profiled comparison grid and writes the merged fleet
@@ -181,45 +190,25 @@ func runProf(dir string, sc harness.Scale) error {
 	if err != nil {
 		return err
 	}
-	outs := []struct {
-		name string
-		data []byte
-	}{
+	arts := []artifact{
 		{"profile.txt", d.Breakdown},
 		{"profile.folded", d.Folded},
 		{"profile.svg", d.SVG},
 		{"profile.json", d.JSON},
 	}
 	for _, c := range d.Cells {
-		outs = append(outs,
-			struct {
-				name string
-				data []byte
-			}{c.Label + ".txt", c.Breakdown},
-			struct {
-				name string
-				data []byte
-			}{c.Label + ".svg", c.SVG})
+		arts = append(arts, artifact{c.Label + ".txt", c.Breakdown}, artifact{c.Label + ".svg", c.SVG})
 	}
-	for _, out := range outs {
-		path := filepath.Join(dir, out.name)
-		if err := os.WriteFile(path, out.data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("[wrote %s]\n", path)
+	if err := writeArtifacts(os.Stdout, dir, arts...); err != nil {
+		return err
 	}
 	fmt.Printf("[prof grid: %d cells, %d requests profiled, done in %v]\n",
 		len(d.Cells), d.Merged.Requests(), sw.Elapsed().Round(time.Millisecond))
 	return nil
 }
 
-// svgWriter is implemented by results that can render a chart.
-type svgWriter interface {
-	WriteSVG(io.Writer) error
-}
-
 // runExport runs the experiment, prints its rows, and optionally writes
-// <name>.svg (when the result can draw itself) and <name>.json files.
+// <name>.svg (when the result has a chart) and <name>.json files.
 func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir string) error {
 	e, ok := harness.LookupExperiment(name)
 	if !ok {
@@ -229,33 +218,21 @@ func runExport(w io.Writer, name string, sc harness.Scale, svgDir, jsonDir strin
 	res := e.Run(sc)
 	res.WriteText(w)
 	fmt.Fprintf(w, "[%s done in %v]\n", name, sw.Elapsed().Round(time.Millisecond))
-	if svgDir != "" {
-		if sw, ok := res.(svgWriter); ok {
-			path := filepath.Join(svgDir, name+".svg")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := sw.WriteSVG(f); err != nil {
-				f.Close()
-				return fmt.Errorf("rendering %s: %w", path, err)
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "[wrote %s]\n", path)
+	if c, ok := res.(harness.Charted); ok && svgDir != "" {
+		var buf bytes.Buffer
+		if err := c.Chart().WriteSVG(&buf); err != nil {
+			return fmt.Errorf("rendering %s.svg: %w", name, err)
+		}
+		if err := writeArtifacts(w, svgDir, artifact{name + ".svg", buf.Bytes()}); err != nil {
+			return err
 		}
 	}
 	if jsonDir != "" {
-		path := filepath.Join(jsonDir, name+".json")
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
-			return fmt.Errorf("encoding %s: %w", path, err)
+			return fmt.Errorf("encoding %s.json: %w", name, err)
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "[wrote %s]\n", path)
+		return writeArtifacts(w, jsonDir, artifact{name + ".json", append(data, '\n')})
 	}
 	return nil
 }

@@ -7,11 +7,8 @@
 //	go run ./cmd/ddvet ./...
 //	ddvet -config .ddvet.json ./internal/nvme
 //
-// Standalone runs keep a per-package result cache (out/ddvetcache under
-// the module root, see internal/analysis/vetcache): packages whose
-// sources, config, and tool build are unchanged replay their diagnostics
-// without being parsed or type-checked. -nocache forces a cold run,
-// -cache-dir relocates the cache, -timings prints per-analyzer wall time.
+// -timings prints per-analyzer wall time. -nocache is accepted and does
+// nothing: standalone runs keep no result cache.
 //
 // As a go vet tool, speaking the unitchecker .cfg protocol so the go
 // command handles package loading and caching:
@@ -48,15 +45,11 @@ import (
 	"daredevil/internal/analysis/simdeterminism"
 	"daredevil/internal/analysis/slabsafety"
 	"daredevil/internal/analysis/unitcheck"
-	"daredevil/internal/analysis/vetcache"
 	"daredevil/internal/walltime"
 )
 
 // ConfigFile is the optional override at the module root.
 const ConfigFile = ".ddvet.json"
-
-// CacheDirName is the default cache location under the module root.
-const CacheDirName = "out/ddvetcache"
 
 // analyzers builds the full suite under cfg.
 func analyzers(cfg *config.Config) []*framework.Analyzer {
@@ -141,17 +134,15 @@ func loadConfig(dir, explicit string) (*config.Config, error) {
 	return config.Load(path)
 }
 
-// standalone loads packages itself via go list and prints diagnostics,
-// replaying unchanged packages from the result cache.
+// standalone loads packages itself via go list and prints diagnostics.
 func standalone() int {
 	fs := flag.NewFlagSet("ddvet", flag.ExitOnError)
 	configPath := fs.String("config", "", "path to a ddvet config (default: .ddvet.json at the module root)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	nocache := fs.Bool("nocache", false, "ignore and do not write the result cache")
-	cacheDir := fs.String("cache-dir", "", "result cache directory (default: "+CacheDirName+" at the module root)")
+	fs.Bool("nocache", false, "no effect: kept for scripts that pass it (ddvet keeps no result cache)")
 	timings := fs.Bool("timings", false, "print per-analyzer wall time to stderr")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: ddvet [-config file] [-nocache] [-cache-dir dir] [-timings] [packages]\n")
+		fmt.Fprintf(fs.Output(), "usage: ddvet [-config file] [-timings] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -185,24 +176,7 @@ func standalone() int {
 		patterns = []string{"./..."}
 	}
 
-	var cache *vetcache.Cache
-	if !*nocache {
-		dir := *cacheDir
-		if dir == "" {
-			root, err := load.ModuleRoot(cwd)
-			if err != nil {
-				root = cwd
-			}
-			dir = filepath.Join(root, filepath.FromSlash(CacheDirName))
-		}
-		if cache, err = vetcache.Open(dir); err != nil {
-			// A read-only checkout still lints; it just lints cold.
-			fmt.Fprintln(os.Stderr, "ddvet: cache disabled:", err)
-			cache = nil
-		}
-	}
-
-	found, code := run(cwd, cfg, suite, cache, patterns)
+	found, code := run(cwd, cfg, suite, patterns)
 	if code != 0 {
 		return code
 	}
@@ -218,85 +192,19 @@ func standalone() int {
 	return 0
 }
 
-// run lints the matched packages in go list order: cache hits replay,
-// misses are loaded (in one batch), analyzed, and stored. Diagnostic
-// order is deterministic either way — package order from go list,
+// run lints the matched packages, loaded in one batch, and prints their
+// diagnostics in a deterministic order: package order from go list,
 // position order within a package from the framework.
-func run(cwd string, cfg *config.Config, suite []*framework.Analyzer, cache *vetcache.Cache, patterns []string) (found, code int) {
-	metas, err := load.List(cwd, patterns)
+func run(cwd string, cfg *config.Config, suite []*framework.Analyzer, patterns []string) (found, code int) {
+	pkgs, err := load.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ddvet:", err)
 		return 0, 3
 	}
-
-	version := fmt.Sprintf("%x", selfHash())
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddvet:", err)
-		return 0, 3
-	}
-
-	keys := map[string]string{}
-	cached := map[string][]vetcache.Diagnostic{}
-	var misses []string
-	for _, m := range metas {
-		if cache == nil {
-			misses = append(misses, m.ImportPath)
-			continue
-		}
-		key, err := vetcache.Key(version, cfgJSON, m.GoFiles)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddvet:", err)
-			return 0, 3
-		}
-		keys[m.ImportPath] = key
-		if diags, ok := cache.Get(key); ok {
-			cached[m.ImportPath] = diags
-		} else {
-			misses = append(misses, m.ImportPath)
-		}
-	}
-
-	pkgs := map[string]*framework.Package{}
-	if len(misses) > 0 {
-		loaded, err := load.Load(cwd, misses)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddvet:", err)
-			return 0, 3
-		}
-		for _, pkg := range loaded {
-			pkgs[pkg.ImportPath] = pkg
-		}
-	}
-
-	for _, m := range metas {
-		if diags, ok := cached[m.ImportPath]; ok {
-			for _, d := range diags {
-				pos := token.Position{Filename: d.File, Line: d.Line, Column: d.Col}
-				fmt.Printf("%s: %s: %s\n", relPos(cwd, pos), d.Analyzer, d.Message)
-				found++
-			}
-			continue
-		}
-		pkg, ok := pkgs[m.ImportPath]
-		if !ok {
-			continue
-		}
-		diags := framework.Run(pkg, cfg, suite)
-		store := []vetcache.Diagnostic{}
-		for _, d := range diags {
-			pos := pkg.Fset.Position(d.Pos)
-			store = append(store, vetcache.Diagnostic{
-				File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-			fmt.Printf("%s: %s: %s\n", relPos(cwd, pos), d.Analyzer, d.Message)
+	for _, pkg := range pkgs {
+		for _, d := range framework.Run(pkg, cfg, suite) {
+			fmt.Printf("%s: %s: %s\n", relPos(cwd, pkg.Fset.Position(d.Pos)), d.Analyzer, d.Message)
 			found++
-		}
-		if cache != nil {
-			if err := cache.Put(keys[m.ImportPath], m.ImportPath, store); err != nil {
-				fmt.Fprintln(os.Stderr, "ddvet: cache write:", err)
-			}
 		}
 	}
 	return found, 0

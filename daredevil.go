@@ -327,7 +327,7 @@ func (s *Simulation) WriteProfile(w io.Writer) error { return s.cell.WriteProfil
 // unless EnableProfile was called.
 func (s *Simulation) WriteProfileFolded(w io.Writer) error { return s.cell.WriteProfileFolded(w) }
 
-// WriteProfileSVG renders the breakdown as a stacked horizontal bar chart.
+// WriteProfileSVG renders the breakdown as 100%-stacked bars, one per group.
 // No-op unless EnableProfile was called.
 func (s *Simulation) WriteProfileSVG(w io.Writer) error { return s.cell.WriteProfileSVG(w) }
 

@@ -156,39 +156,6 @@ func check(fset *token.FileSet, imp types.Importer, p listPackage) (*framework.P
 	return pkg, nil
 }
 
-// Meta is the cheap per-package listing the result cache keys on: the
-// import path plus the absolute source file names, obtainable from go list
-// alone without parsing or type-checking anything.
-type Meta struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-}
-
-// List resolves patterns to package metadata (go list only — no parsing,
-// no type-checking). The ddvet cache uses it to hash sources and decide
-// which packages actually need a full Load.
-func List(dir string, patterns []string) ([]Meta, error) {
-	pkgs, err := goList(dir, append([]string{"-json=ImportPath,Dir,GoFiles"}, patterns...)...)
-	if err != nil {
-		return nil, err
-	}
-	var out []Meta
-	seen := map[string]bool{}
-	for _, p := range pkgs {
-		if seen[p.ImportPath] || len(p.GoFiles) == 0 {
-			continue
-		}
-		seen[p.ImportPath] = true
-		m := Meta{ImportPath: p.ImportPath, Dir: p.Dir}
-		for _, name := range p.GoFiles {
-			m.GoFiles = append(m.GoFiles, filepath.Join(p.Dir, name))
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // Check type-checks already-parsed files as the package at importPath.
 func Check(fset *token.FileSet, imp types.Importer, importPath string, files []*ast.File) (*framework.Package, error) {
 	info := &types.Info{

@@ -106,6 +106,7 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	low, high := c.watermarks()
 	switch {
 	case c.PagesPerBlock <= 0:
 		return fmt.Errorf("ftl: PagesPerBlock = %d, must be positive", c.PagesPerBlock)
@@ -115,8 +116,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: OPPct = %v out of [2,90]", c.OPPct)
 	case c.GCLowWater < 0 || c.GCHighWater < 0:
 		return fmt.Errorf("ftl: negative GC watermark")
-	case c.GCHighWater > 0 && c.GCLowWater > 0 && c.GCHighWater <= c.GCLowWater:
-		return fmt.Errorf("ftl: GCHighWater (%d) must exceed GCLowWater (%d)", c.GCHighWater, c.GCLowWater)
+	case high <= low:
+		return fmt.Errorf("ftl: GC high watermark (%d) must exceed low watermark (%d)", high, low)
 	case c.GCBatchPages < 0:
 		return fmt.Errorf("ftl: negative GCBatchPages")
 	case c.PreconditionPct < 0 || c.PreconditionPct > 100:
@@ -125,6 +126,23 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: ScramblePct = %d out of [0,100]", c.ScramblePct)
 	}
 	return nil
+}
+
+// watermarks resolves the GC watermarks with their defaults filled in: low
+// is GCLowWater or 2, high is GCHighWater or low+1. The defaults are a
+// fixed clean-block reserve. Keeping it small and OP-independent is
+// deliberate: clean blocks held free are spare capacity that can't serve
+// as data-block invalidity, so a reserve that scaled with OP would eat
+// exactly the slack that is supposed to make GC cheaper.
+func (c Config) watermarks() (low, high int) {
+	low, high = c.GCLowWater, c.GCHighWater
+	if low == 0 {
+		low = 2
+	}
+	if high == 0 {
+		high = low + 1
+	}
+	return low, high
 }
 
 // Stats accumulates FTL activity since the last ResetStats.
@@ -333,19 +351,7 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 	if d.logPages <= 0 {
 		panic("ftl: zero logical capacity")
 	}
-	// Watermarks default to a fixed clean-block reserve. Keeping it small
-	// and OP-independent is deliberate: clean blocks held free are spare
-	// capacity that can't serve as data-block invalidity, so a reserve that
-	// scaled with OP would eat exactly the slack that is supposed to make
-	// GC cheaper.
-	d.lowWater = cfg.GCLowWater
-	if d.lowWater == 0 {
-		d.lowWater = 2
-	}
-	d.highWater = cfg.GCHighWater
-	if d.highWater == 0 {
-		d.highWater = d.lowWater + 1
-	}
+	d.lowWater, d.highWater = cfg.watermarks()
 
 	d.l2p = make([]int32, d.logPages)
 	d.p2l = make([]int32, d.physPages)

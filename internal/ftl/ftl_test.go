@@ -56,6 +56,8 @@ func TestConfigValidate(t *testing.T) {
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 1},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 95},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, GCLowWater: 3, GCHighWater: 2},
+		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, GCHighWater: 1}, // below the default low of 2
+		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, GCHighWater: 2}, // equal to the default low
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, PreconditionPct: 101},
 		{PagesPerBlock: 16, BlocksPerDie: 10, OPPct: 7, ScramblePct: -1},
 	}

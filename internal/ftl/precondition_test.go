@@ -117,8 +117,8 @@ func precondCase(dies int, cfg Config) bool {
 // against the page-at-a-time reference over a grid of geometries: single
 // and odd die counts, one-page and non-power-of-two blocks, devices the
 // fill cannot complete, scrambles the spare cuts short, and high
-// watermarks below the low one or at the die size, where the device takes
-// no preconditioning write at all.
+// watermarks at or past the die size, where the device takes no
+// preconditioning write at all.
 func TestPreconditionMatchesReference(t *testing.T) {
 	cases := 0
 	for _, dies := range []int{1, 2, 3, 4, 8} {
@@ -127,7 +127,7 @@ func TestPreconditionMatchesReference(t *testing.T) {
 				for _, op := range []float64{2, 7, 30, 90} {
 					for _, pre := range []int{0, 1, 37, 100} {
 						for _, scr := range []int{0, 30, 100} {
-							for _, hw := range []int{0, 1, bpd, bpd + 2} {
+							for _, hw := range []int{0, bpd, bpd + 2} {
 								cfg := Config{PagesPerBlock: ppb, BlocksPerDie: bpd, OPPct: op,
 									GCHighWater: hw, PreconditionPct: pre, ScramblePct: scr,
 									Seed: uint64(cases)}

@@ -129,28 +129,6 @@ func TestKyberStackKindBuilds(t *testing.T) {
 	}
 }
 
-func TestSVGWritersProduceSVG(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment shapes are slow")
-	}
-	sc := Scale{Warmup: 10 * sim.Millisecond, Measure: 30 * sim.Millisecond}
-	check := func(name string, err error, buf *bytes.Buffer) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.HasPrefix(buf.String(), "<svg") {
-			t.Fatalf("%s: output is not SVG", name)
-		}
-	}
-	var buf bytes.Buffer
-	check("fig2", RunFig2(sc).WriteSVG(&buf), &buf)
-	buf.Reset()
-	check("fig6", RunFig6(sc).WriteSVG(&buf), &buf)
-	buf.Reset()
-	check("fig14", RunFig14(sc).WriteSVG(&buf), &buf)
-}
-
 func TestExtWebappShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment shapes are slow")

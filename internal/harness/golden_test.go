@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"daredevil/internal/ftl"
+	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 	"daredevil/internal/workload"
 )
@@ -181,7 +182,9 @@ func TestGoldenOverloadRetries(t *testing.T) {
 // experimentFingerprints hashes every pinned artifact at goldenScale, one
 // "<sha256>  <name>" line each: every experiment's `ddbench -json` bytes
 // (json.MarshalIndent of its result), the obs demo's four exports, and the
-// prof demo's merged profile JSON.
+// prof demo's merged profile JSON. Along the way it renders every chart
+// the same runs produce — each charted result, the obs sparklines, the
+// merged and per-cell prof breakdowns — and checks each is well-formed.
 func experimentFingerprints(t *testing.T) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -189,11 +192,24 @@ func experimentFingerprints(t *testing.T) []byte {
 		fmt.Fprintf(&out, "%x  %s\n", sha256.Sum256(data), name)
 	}
 	for _, e := range Experiments {
-		data, err := json.MarshalIndent(e.Run(goldenScale), "", "  ")
+		res := e.Run(goldenScale)
+		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			t.Fatalf("%s: marshal result: %v", e.Name, err)
 		}
 		add(e.Name, data)
+		c, ok := res.(Charted)
+		if !ok {
+			if strings.HasPrefix(e.Name, "fig") {
+				t.Errorf("%s: a paper figure without a chart", e.Name)
+			}
+			continue
+		}
+		var svg bytes.Buffer
+		if err := c.Chart().WriteSVG(&svg); err != nil {
+			t.Errorf("%s: render chart: %v", e.Name, err)
+		}
+		checkSVG(t, e.Name+".svg", svg.Bytes())
 	}
 	od, err := RunObsDemo(goldenScale)
 	if err != nil {
@@ -203,12 +219,25 @@ func experimentFingerprints(t *testing.T) []byte {
 	add("obs/metrics.csv", od.Metrics)
 	add("obs/metrics.svg", od.SVG)
 	add("obs/flight.txt", od.Flight)
+	checkSVG(t, "obs/metrics.svg", od.SVG)
 	pd, err := RunProfDemo(goldenScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	add("prof/profile.json", pd.JSON)
+	checkSVG(t, "prof/profile.svg", pd.SVG)
+	for _, c := range pd.Cells {
+		checkSVG(t, "prof/"+c.Label+".svg", c.SVG)
+	}
 	return out.Bytes()
+}
+
+// checkSVG fails the test unless svg is a well-formed SVG document.
+func checkSVG(t *testing.T, name string, svg []byte) {
+	t.Helper()
+	if err := plot.WellFormed(svg); err != nil || !bytes.HasPrefix(svg, []byte("<svg ")) {
+		t.Errorf("%s: not a well-formed SVG document (%v):\n%.200s", name, err, svg)
+	}
 }
 
 // TestGoldenExperiments asserts every experiment, the obs demo, and the

@@ -1,13 +1,9 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"io"
 
 	"daredevil/internal/obs"
-	"daredevil/internal/plot"
 	"daredevil/internal/sim"
 )
 
@@ -110,44 +106,6 @@ func (e *Env) registerGauges(window sim.Duration) {
 		lastCancels = dev.CancelledCmds
 		return float64(d)
 	})
-}
-
-// WriteObsSVG renders the sampled gauges as small-multiple sparklines: one
-// compact line chart per gauge, stacked vertically in one SVG document.
-func WriteObsSVG(w io.Writer, s *obs.Sampler) error {
-	const chartW, chartH = 560, 130
-	series := s.Series()
-	var charts []bytes.Buffer
-	for _, sr := range series {
-		if len(sr.Points) == 0 {
-			continue
-		}
-		var x, y []float64
-		for _, p := range sr.Points {
-			x = append(x, sim.Duration(p.At).Milliseconds())
-			y = append(y, p.Value)
-		}
-		c := &plot.Chart{
-			Title: sr.Name, XLabel: "t (ms)", YLabel: sr.Name,
-			Kind: plot.Lines, Width: chartW, Height: chartH,
-			Series: []plot.Series{{Name: sr.Name, X: x, Y: y}},
-		}
-		var buf bytes.Buffer
-		if err := c.WriteSVG(&buf); err != nil {
-			return err
-		}
-		charts = append(charts, buf)
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">`+"\n",
-		chartW, chartH*len(charts))
-	for i := range charts {
-		fmt.Fprintf(bw, `<g transform="translate(0,%d)">`+"\n", i*chartH)
-		bw.Write(charts[i].Bytes())
-		bw.WriteString("</g>\n")
-	}
-	bw.WriteString("</svg>\n")
-	return bw.Flush()
 }
 
 // ObsDemo is the canonical instrumented cell: the Daredevil stack under the

@@ -128,7 +128,7 @@ func RunProfDemo(sc Scale) (ProfDemo, error) {
 		}
 		if err := renderAll(
 			export{&o.demo.Breakdown, p.WriteBreakdownTable},
-			export{&o.demo.SVG, p.WriteBreakdownSVG},
+			export{&o.demo.SVG, breakdownChart(*p).WriteSVG},
 		); err != nil {
 			return d, err
 		}
@@ -138,7 +138,7 @@ func RunProfDemo(sc Scale) (ProfDemo, error) {
 	err := renderAll(
 		export{&d.Breakdown, d.Merged.WriteBreakdownTable},
 		export{&d.Folded, d.Merged.WriteFoldedStacks},
-		export{&d.SVG, d.Merged.WriteBreakdownSVG},
+		export{&d.SVG, breakdownChart(d.Merged).WriteSVG},
 		export{&d.JSON, d.Merged.WriteJSON},
 	)
 	return d, err

@@ -6,7 +6,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -85,77 +84,6 @@ func ParseProfile(data []byte) (Profile, error) {
 		}
 	}
 	return p, nil
-}
-
-// Layer palette for the stacked SVG, one fixed color per taxonomy slot (so
-// the same layer has the same color in every artifact).
-var layerColors = [obs.NumLayers]string{
-	obs.LayerSubmit:    "#4e79a7",
-	obs.LayerQueueWait: "#f28e2b",
-	obs.LayerFetch:     "#76b7b2",
-	obs.LayerChip:      "#59a14f",
-	obs.LayerGC:        "#e15759",
-	obs.LayerCQE:       "#edc948",
-	obs.LayerDelivery:  "#b07aa1",
-}
-
-// SVG layout constants.
-const (
-	svgWidth     = 760
-	svgGutter    = 190 // left label gutter
-	svgBarH      = 22
-	svgRowGap    = 8
-	svgLegendH   = 26
-	svgPadding   = 10
-	svgBarsWidth = svgWidth - svgGutter - svgPadding
-)
-
-// WriteBreakdownSVG renders the breakdown as a deterministic stacked
-// horizontal bar chart: one 100%-stacked bar per (stack, class) group,
-// segment widths proportional to each layer's share of the group's latency
-// mass. Pure fmt over integer-derived values — byte-identical across runs.
-func (p Profile) WriteBreakdownSVG(w io.Writer) error {
-	rows := len(p.Groups)
-	height := svgPadding*2 + svgLegendH + rows*(svgBarH+svgRowGap)
-	var err error
-	pr := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	pr("<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%d\" height=\"%d\" font-family=\"monospace\" font-size=\"11\">\n", svgWidth, height)
-	pr("<rect width=\"%d\" height=\"%d\" fill=\"white\"/>\n", svgWidth, height)
-	// Legend: one swatch per layer, fixed order.
-	x := float64(svgGutter)
-	for l, name := range obs.LayerNames() {
-		pr("<rect x=\"%.1f\" y=\"%d\" width=\"10\" height=\"10\" fill=\"%s\"/>\n", x, svgPadding, layerColors[l])
-		pr("<text x=\"%.1f\" y=\"%d\">%s</text>\n", x+13, svgPadding+9, name)
-		x += float64(13 + 7*len(name) + 12)
-	}
-	y := svgPadding + svgLegendH
-	for _, g := range p.Groups {
-		var layerSum int64
-		for _, l := range g.Layers {
-			layerSum += l.Sum
-		}
-		pr("<text x=\"%d\" y=\"%d\">%s/%s n=%d</text>\n", svgPadding, y+svgBarH-7, g.Stack, g.Class, g.Requests)
-		if layerSum > 0 {
-			bx := float64(svgGutter)
-			for li, l := range g.Layers {
-				if l.Sum == 0 {
-					continue
-				}
-				bw := float64(svgBarsWidth) * float64(l.Sum) / float64(layerSum)
-				pr("<rect x=\"%.2f\" y=\"%d\" width=\"%.2f\" height=\"%d\" fill=\"%s\"><title>%s %.1f%% (%s mean)</title></rect>\n",
-					bx, y, bw, svgBarH, layerColors[li],
-					l.Layer, 100*float64(l.Sum)/float64(layerSum), l.Mean())
-				bx += bw
-			}
-		}
-		y += svgBarH + svgRowGap
-	}
-	pr("</svg>\n")
-	return err
 }
 
 // dur renders a raw nanosecond count with the sim duration formatting used

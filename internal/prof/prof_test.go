@@ -157,15 +157,6 @@ func TestExports(t *testing.T) {
 		}
 	}
 
-	var svg bytes.Buffer
-	if err := pr.WriteBreakdownSVG(&svg); err != nil {
-		t.Fatal(err)
-	}
-	s := svg.String()
-	if !strings.HasPrefix(s, "<svg") || !strings.Contains(s, "</svg>") || !strings.Contains(s, "daredevil/L") {
-		t.Fatalf("svg malformed:\n%.200s", s)
-	}
-
 	var js bytes.Buffer
 	if err := pr.WriteJSON(&js); err != nil {
 		t.Fatal(err)
