@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -402,5 +404,46 @@ func TestSimulatePointArtifactsMatchSpec(t *testing.T) {
 	}
 	if out.result.LTenantLatency.Count == 0 || out.result.LTenantLatency.Mean <= sim.Duration(0) {
 		t.Fatalf("empty L latency in result: %+v", out.result.LTenantLatency)
+	}
+}
+
+// TestWaitOutlivesReadTimeout runs a ?wait=1 sweep for longer than the
+// HTTP server's ReadTimeout. The timeout bounds reading the request:
+// net/http lifts the read deadline once the body has been read, so the
+// wait for the job is not cut off and the client gets the final status
+// rather than a 408. A body that stalls past the timeout is still
+// refused.
+func TestWaitOutlivesReadTimeout(t *testing.T) {
+	s := New(Config{GitRev: "test", Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	s.runPoint = func(scenario.Scenario) (cellOutput, error) {
+		time.Sleep(300 * time.Millisecond)
+		return cellOutput{}, nil
+	}
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadTimeout = 50 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	code, body, _ := post(t, ts.URL+"/v1/sweeps?wait=1", smallScenario)
+	if code != http.StatusOK {
+		t.Fatalf("?wait=1 past ReadTimeout: got %d, want 200 (%s)", code, body)
+	}
+
+	// Headers promise a body that never comes: the read times out.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/sweeps HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("stalled body: got %d, want 400", resp.StatusCode)
 	}
 }
