@@ -1,41 +1,26 @@
 // Command ddvet runs the repository's determinism and hot-path lint suite
 // (see internal/analysis): simdeterminism, cellisolation, hotpathalloc,
-// unitcheck, slabsafety, obscost, and argsafety.
-//
-// Standalone (the form make lint and CI use):
+// unitcheck, slabsafety, and obscost.
 //
 //	go run ./cmd/ddvet ./...
 //	ddvet -config .ddvet.json ./internal/nvme
 //
-// -timings prints per-analyzer wall time. -nocache is accepted and does
-// nothing: standalone runs keep no result cache.
+// -list prints each analyzer's rules. -timings prints per-analyzer wall
+// time. -nocache is accepted and does nothing: ddvet keeps no result
+// cache.
 //
-// As a go vet tool, speaking the unitchecker .cfg protocol so the go
-// command handles package loading and caching:
-//
-//	go build -o bin/ddvet ./cmd/ddvet
-//	go vet -vettool=$(pwd)/bin/ddvet ./...
-//
-// Exit status: 0 clean, 1 diagnostics found (2 in vettool mode, matching
-// unitchecker), 3 tool failure.
+// Exit status: 0 clean, 1 diagnostics found, 3 tool failure.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"daredevil/internal/analysis/argsafety"
 	"daredevil/internal/analysis/cellisolation"
 	"daredevil/internal/analysis/config"
 	"daredevil/internal/analysis/framework"
@@ -60,7 +45,6 @@ func analyzers(cfg *config.Config) []*framework.Analyzer {
 		unitcheck.New(cfg),
 		slabsafety.New(cfg),
 		obscost.New(cfg),
-		argsafety.New(cfg),
 	}
 }
 
@@ -82,41 +66,7 @@ func timed(suite []*framework.Analyzer) (wrapped []*framework.Analyzer, elapsed 
 	return suite, elapsed
 }
 
-func main() {
-	// The go command probes vet tools with -V=full (for its build cache
-	// key) and -flags (to learn pass-through flags) before handing each
-	// package over as a JSON .cfg file.
-	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			// The go command caches vet results keyed by this line; a
-			// "devel" version must carry a content hash of the tool.
-			fmt.Printf("%s version devel buildID=%x\n", filepath.Base(os.Args[0]), selfHash())
-			return
-		case arg == "-flags" || arg == "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vettool(os.Args[1]))
-	}
-	os.Exit(standalone())
-}
-
-// selfHash hashes the running executable for the -V=full build ID.
-func selfHash() []byte {
-	exe, err := os.Executable()
-	if err != nil {
-		return []byte("unknown")
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return []byte("unknown")
-	}
-	sum := sha256.Sum256(data)
-	return sum[:]
-}
+func main() { os.Exit(vet()) }
 
 // loadConfig reads .ddvet.json at the module root above dir, if present.
 func loadConfig(dir, explicit string) (*config.Config, error) {
@@ -134,8 +84,9 @@ func loadConfig(dir, explicit string) (*config.Config, error) {
 	return config.Load(path)
 }
 
-// standalone loads packages itself via go list and prints diagnostics.
-func standalone() int {
+// vet parses the command line, loads the packages via go list, and prints
+// their diagnostics; it returns the exit status.
+func vet() int {
 	fs := flag.NewFlagSet("ddvet", flag.ExitOnError)
 	configPath := fs.String("config", "", "path to a ddvet config (default: .ddvet.json at the module root)")
 	list := fs.Bool("list", false, "list analyzers and exit")
@@ -216,95 +167,4 @@ func relPos(dir string, pos token.Position) string {
 		pos.Filename = rel
 	}
 	return pos.String()
-}
-
-// vetConfig is the JSON the go command writes for unitchecker-protocol
-// tools: the package's files plus the import map and export data of every
-// dependency, so no further package loading is needed.
-type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-}
-
-// vettool analyzes one package described by cfgFile.
-func vettool(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddvet:", err)
-		return 3
-	}
-	var vc vetConfig
-	if err := json.Unmarshal(data, &vc); err != nil {
-		fmt.Fprintf(os.Stderr, "ddvet: parse %s: %v\n", cfgFile, err)
-		return 3
-	}
-	// The go command requires the facts file to exist even though ddvet's
-	// analyzers exchange no facts.
-	if vc.VetxOutput != "" {
-		if err := os.WriteFile(vc.VetxOutput, []byte("ddvet"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "ddvet:", err)
-			return 3
-		}
-	}
-	if vc.VetxOnly {
-		return 0
-	}
-	// Test packages get .cfg files too; the determinism contract
-	// deliberately exempts tests.
-	if strings.HasSuffix(vc.ImportPath, ".test") || strings.HasSuffix(vc.ImportPath, "_test") ||
-		strings.Contains(vc.ImportPath, " [") {
-		return 0
-	}
-
-	cfg, err := loadConfig(vc.Dir, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddvet:", err)
-		return 3
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range vc.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ddvet:", err)
-			return 3
-		}
-		files = append(files, f)
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := vc.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := vc.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	pkg, err := load.Check(fset, imp, vc.ImportPath, files)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddvet:", err)
-		return 3
-	}
-
-	diags := framework.Run(pkg, cfg, analyzers(cfg))
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -26,19 +28,6 @@ func buildDDVet(t *testing.T) string {
 		t.Fatalf("go build ddvet: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestVersionProtocol checks the -V=full line the go command keys its vet
-// cache on: name, "version devel", and a hex build ID.
-func TestVersionProtocol(t *testing.T) {
-	bin := buildDDVet(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("ddvet -V=full: %v", err)
-	}
-	if !regexp.MustCompile(`^ddvet version devel buildID=[0-9a-f]{64}\n$`).Match(out) {
-		t.Errorf("-V=full output %q does not match the vettool protocol", out)
-	}
 }
 
 // TestStandaloneEndToEnd builds a throwaway module with one sim-ordered
@@ -110,4 +99,50 @@ func TestRunNoCacheComputes(t *testing.T) {
 	if code != 0 || found != 0 {
 		t.Fatalf("found=%d code=%d, want 0 0", found, code)
 	}
+}
+
+// TestRepoConfigOnlyOverrides keeps config.Default() the one source of the
+// repository's settings: a field .ddvet.json names must differ from its
+// default, so analyzer tests and make lint run under the same lists.
+func TestRepoConfigOnlyOverrides(t *testing.T) {
+	root, err := load.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(root, ConfigFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := json.Marshal(config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file, defaults map[string]any
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(def, &defaults); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range file {
+		if reflect.DeepEqual(unordered(v), unordered(defaults[name])) {
+			t.Errorf("%s restates config.Default()'s %q; delete it from the file", ConfigFile, name)
+		}
+	}
+}
+
+// unordered canonicalizes a JSON list as its sorted encoded elements: list
+// order carries no meaning in the config.
+func unordered(v any) any {
+	list, ok := v.([]any)
+	if !ok {
+		return v
+	}
+	out := make([]string, len(list))
+	for i, e := range list {
+		b, _ := json.Marshal(e)
+		out[i] = string(b)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -34,30 +34,20 @@ func run(kind harness.StackKind, aged bool) row {
 		fcfg.OPPct = 7 // consumer-drive over-provisioning: GC works hardest
 		m.FTL = &fcfg
 	}
-	env := harness.NewEnv(m, kind)
-	mix := harness.NewMix(env)
-	mix.AddL(4, 0)
+	c := harness.NewCell(m, kind)
+	c.Mix.AddL(4, 0)
 	for i := 0; i < 4; i++ {
-		cfg := workload.DefaultTTenant("fio-T", i%env.Pool.N())
+		cfg := workload.DefaultTTenant("fio-T", i%c.Env.Pool.N())
 		cfg.Pattern = workload.Random // random overwrites are the canonical GC workload
 		cfg.ReadPct = 0
 		cfg.IODepth = 4
-		mix.TJobs = append(mix.TJobs, workload.NewJob(100+i, cfg))
+		c.Mix.TJobs = append(c.Mix.TJobs, workload.NewJob(100+i, cfg))
 	}
-	mix.StartAll()
-	warm, measure := 150*sim.Millisecond, 600*sim.Millisecond
-	env.Eng.RunUntil(sim.Time(warm))
-	mix.ResetStats()
-	if env.FTL != nil {
-		env.FTL.ResetStats()
-	}
-	env.Eng.RunUntil(sim.Time(warm + measure))
-	r := mix.Collect(measure)
-	out := row{lAvg: r.L.Mean, lP999: r.L.P999, tMBps: r.TMBps, wa: 1}
-	if env.FTL != nil {
-		st := env.FTL.Stats()
-		out.wa = st.WriteAmplification()
-		out.gcRuns = st.GCRuns
+	r := c.Run(150*sim.Millisecond, 600*sim.Millisecond)
+	out := row{lAvg: r.LTenantLatency.Mean, lP999: r.LTenantLatency.P999, tMBps: r.TThroughputMBps, wa: 1}
+	if r.FTL != nil {
+		out.wa = r.FTL.WriteAmplification
+		out.gcRuns = r.FTL.GCRuns
 	}
 	return out
 }

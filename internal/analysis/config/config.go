@@ -5,10 +5,10 @@
 // wall clock, blanket exemptions, and the unit-type dimensions checked by
 // the unitcheck analyzer.
 //
-// The defaults baked into Default() describe this repository. A `.ddvet.json`
-// file at the module root overrides them, so the boundary between simulated
-// and host time stays a reviewed, diffable artifact rather than tribal
-// knowledge.
+// The defaults baked into Default() describe this repository and are the
+// one source of its settings; analyzer tests and `make lint` run under the
+// same lists. A `.ddvet.json` file at the module root overrides fields
+// wholesale; this repository's names only its documented exemptions.
 package config
 
 import (
@@ -97,6 +97,11 @@ func Default() *Config {
 			"daredevil/internal/stackbase",
 			"daredevil/internal/block",
 			"daredevil/internal/core",
+			"daredevil/internal/fault",
+			"daredevil/internal/obs",
+			"daredevil/internal/scenario",
+			"daredevil/internal/stats",
+			"daredevil/internal/prof",
 		},
 		WallclockOK: []string{
 			"daredevil/internal/walltime",

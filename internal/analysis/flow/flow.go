@@ -6,8 +6,8 @@
 // PR 7 made the simulator's hot path deliberately dangerous — slab slots
 // freed without zeroing, a non-pointer live-flag double-free guard,
 // pointer-in-any continuations — and the analyzers that police those
-// contracts (slabsafety, obscost, argsafety, hotpathalloc) all need the
-// same three facts about a function the AST alone does not give:
+// contracts (slabsafety, obscost, hotpathalloc) all need the same three
+// facts about a function the AST alone does not give:
 //
 //   - which of its parameters escape into a free/recycle sink (an append
 //     onto a free-list field, directly or through a callee), so a caller's

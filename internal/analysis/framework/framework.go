@@ -112,12 +112,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-	// Dir and GoFiles record where the sources came from (absolute file
-	// names), when known. The ddvet result cache keys on the file contents,
-	// so the loader records them even though analysis itself only needs the
-	// parsed ASTs.
-	Dir     string
-	GoFiles []string
 }
 
 // AllowDirective is the suppression comment prefix.

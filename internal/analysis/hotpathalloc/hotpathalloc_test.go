@@ -31,3 +31,17 @@ func TestWheel(t *testing.T) {
 		"daredevil/internal/analysis/hotpathalloc/testdata/wheel",
 		hotpathalloc.New(cfg))
 }
+
+// TestArgs pins the continuation protocol on the fixture: pre-bound func
+// fields, package functions, non-capturing literals, and method
+// expressions bind cleanly with pointer-shaped or nil args, while
+// capturing closures, method values, and boxed scalars diagnose at both
+// the sim.Engine entry points and cpus.Work literals (keyed and
+// positional), in cold code too, with the allow directive absorbing its
+// case. In a hot function a fault both rules match diagnoses once.
+func TestArgs(t *testing.T) {
+	cfg := config.Default()
+	fixture := "daredevil/internal/analysis/hotpathalloc/testdata/args"
+	cfg.SimPackages = append(cfg.SimPackages, fixture)
+	analysistest.Run(t, cfg, "testdata/args", fixture, hotpathalloc.New(cfg))
+}

@@ -4,6 +4,8 @@
 // suppression.
 package hot
 
+import "daredevil/internal/obs"
+
 type sink interface{ accept(any) }
 
 var out sink
@@ -47,4 +49,19 @@ func drain(n int) {
 		panic("negative") // panic args are exempt: fine
 	}
 	out.accept(n) //lint:ddvet:allow hotpathalloc amortized over the whole batch, not per event
+}
+
+// gauges binds a capturing closure into an obs hook argument on the hot
+// path: hotpathalloc owns the finding (obscost checks the other argument
+// shapes and stays quiet on this one).
+type gauges struct {
+	reg   *obs.Registry
+	depth int
+}
+
+//ddvet:hotpath
+func (g *gauges) register() {
+	if g.reg != nil {
+		g.reg.Register("depth", func() float64 { return float64(g.depth) }) // want "closure on hot path .in register. captures g"
+	}
 }

@@ -137,23 +137,14 @@ func Load(dir string, patterns []string) ([]*framework.Package, error) {
 // check parses p's files and type-checks them against imp.
 func check(fset *token.FileSet, imp types.Importer, p listPackage) (*framework.Package, error) {
 	var files []*ast.File
-	var names []string
 	for _, name := range p.GoFiles {
-		full := filepath.Join(p.Dir, name)
-		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
-		names = append(names, full)
 	}
-	pkg, err := Check(fset, imp, p.ImportPath, files)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Dir = p.Dir
-	pkg.GoFiles = names
-	return pkg, nil
+	return Check(fset, imp, p.ImportPath, files)
 }
 
 // Check type-checks already-parsed files as the package at importPath.

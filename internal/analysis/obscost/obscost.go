@@ -3,10 +3,9 @@
 // through every hot path in the simulator — span stamps, flight-ring
 // records, gauge pulls — on the contract that a disabled observer costs
 // one nil compare and nothing else. Nothing enforced that: an obs hook
-// argument that calls fmt.Sprintf, builds a slice, or closes over a loop
-// variable allocates on every event whether observability is on or off,
-// and TestSteadyStateDevicePathAllocFree only notices after the damage
-// lands.
+// argument that calls fmt.Sprintf or builds a slice allocates on every
+// event whether observability is on or off, and
+// TestSteadyStateDevicePathAllocFree only notices after the damage lands.
 //
 // For every call to an internal/obs method inside a function reachable
 // from a //ddvet:hotpath root (the flow layer's closure), the analyzer
@@ -18,11 +17,12 @@
 //     enclosing `if recv != nil` or a preceding `if recv == nil { return }`
 //     in the same block;
 //
-//   - every argument expression is allocation-free: no capturing
-//     closures, composite literals, make/new/append, string
-//     concatenation or string<->[]byte conversions, no calls into
-//     allocating stdlib (fmt, strings.Join, ...), and no calls to
-//     intra-package functions whose flow summary allocates.
+//   - every argument expression is allocation-free: no composite
+//     literals, make/new/append, string concatenation or string<->[]byte
+//     conversions, no calls into allocating stdlib (fmt, strings.Join,
+//     ...), and no calls to intra-package functions whose flow summary
+//     allocates. Capturing closures are left to hotpathalloc, which flags
+//     every one in a hot function at the same position.
 //
 // Cold code may do what it likes; the point is that the obs seam on the
 // event path stays exactly one pointer compare wide.
@@ -322,9 +322,8 @@ func (c *checker) checkArgAllocFree(arg ast.Expr, hook string) {
 	ast.Inspect(arg, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if capt := flow.CapturedVars(c.pass.TypesInfo, c.pass.Pkg, n); len(capt) > 0 {
-				c.report(n.Pos(), hook, "capturing closure")
-			}
+			// The body runs later, not per hook call; a capturing
+			// literal is hotpathalloc's hot-path closure finding.
 			return false
 		case *ast.CompositeLit:
 			c.report(n.Pos(), hook, "composite literal")

@@ -145,8 +145,6 @@ type Request struct {
 
 	// Timestamps along the I/O path (virtual time).
 	IssueTime    sim.Time // tenant issued the syscall
-	SubmitTime   sim.Time // stack enqueued into an NSQ
-	FetchTime    sim.Time // controller fetched from the NSQ
 	CQEPostTime  sim.Time // controller posted the CQE
 	CompleteTime sim.Time // completion delivered to the tenant
 
@@ -186,10 +184,6 @@ type Request struct {
 
 // Latency reports the end-to-end latency the tenant observed.
 func (r *Request) Latency() sim.Duration { return r.CompleteTime.Sub(r.IssueTime) }
-
-// InQueue reports the time spent between stack submission and controller
-// fetch — the head-of-line component.
-func (r *Request) InQueue() sim.Duration { return r.FetchTime.Sub(r.SubmitTime) }
 
 // CompletionDelay reports the time from CQE posting to delivery at the
 // tenant — the completion-side overhead component of §7.5.

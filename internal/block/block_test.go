@@ -55,12 +55,9 @@ func TestTenantString(t *testing.T) {
 }
 
 func TestRequestLatency(t *testing.T) {
-	rq := &Request{IssueTime: 100, CompleteTime: 350, SubmitTime: 120, FetchTime: 200}
+	rq := &Request{IssueTime: 100, CompleteTime: 350}
 	if rq.Latency() != 250 {
 		t.Fatalf("Latency = %v, want 250", rq.Latency())
-	}
-	if rq.InQueue() != 80 {
-		t.Fatalf("InQueue = %v, want 80", rq.InQueue())
 	}
 }
 

@@ -159,16 +159,11 @@ func (c *Cell) Profiler() *prof.Profiler { return c.prof }
 // Ran reports whether the cell's Run already happened.
 func (c *Cell) Ran() bool { return c.ran }
 
-// Run starts every job and aux app, warms up, measures, and aggregates. It
-// may be called once per Cell.
+// Run starts every job and aux app, warms up, measures, and aggregates —
+// the one warmup/measure loop in the harness. It may be called once per
+// Cell; experiments that report more (goodput, fairness) read the cell's
+// jobs afterwards.
 func (c *Cell) Run(warmup, measure sim.Duration) CellResult {
-	res, _ := c.run(warmup, measure)
-	return res
-}
-
-// run is Run that also returns the mix aggregate, for experiments that
-// report goodput or fairness — the one warmup/measure loop in the harness.
-func (c *Cell) run(warmup, measure sim.Duration) (CellResult, MixResult) {
 	if c.ran {
 		panic("harness: Cell.Run called twice; build a new Cell")
 	}
@@ -227,13 +222,21 @@ func (c *Cell) run(warmup, measure sim.Duration) (CellResult, MixResult) {
 		c.Wall.Add("measure", int64(sw.Elapsed()))
 		sw = walltime.Start()
 	}
-	r := c.Mix.Collect(measure)
+	var l, t stats.Histogram
+	for _, j := range c.Mix.LJobs {
+		l.Merge(&j.Lat)
+	}
+	for _, j := range c.Mix.TJobs {
+		t.Merge(&j.Lat)
+	}
+	lops, _ := windowTotals(c.Mix.LJobs)
+	tops, _ := windowTotals(c.Mix.TJobs)
 	res := CellResult{
-		LTenantLatency:  r.L,
-		TTenantLatency:  r.T,
-		LTenantKIOPS:    r.LKIOPS,
-		TThroughputMBps: r.TMBps,
-		CPUUtilization:  r.CPUUtil,
+		LTenantLatency:  l.Snapshot(),
+		TTenantLatency:  t.Snapshot(),
+		LTenantKIOPS:    lops.IOPS(measure) / 1000,
+		TThroughputMBps: tops.MBps(measure),
+		CPUUtilization:  c.Env.Pool.Utilization(sim.Duration(c.Env.Eng.Now())),
 	}
 	if c.Breakdown {
 		var sub, comp stats.Histogram
@@ -268,7 +271,7 @@ func (c *Cell) run(warmup, measure sim.Duration) (CellResult, MixResult) {
 		res.Profile = &p
 		c.Wall.Add("collect", int64(sw.Elapsed()))
 	}
-	return res, r
+	return res
 }
 
 // WriteTraceTable renders collected request timelines as an aligned table

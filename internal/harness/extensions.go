@@ -46,7 +46,7 @@ func RunExtSchedulers(sc Scale) ExtSchedResult {
 			r := grid[ki*len(counts)+ti]
 			res.Cells = append(res.Cells, ExtSchedCell{
 				Kind: kind, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps, LOps: r.L.Count,
+				Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean, TMBps: r.TThroughputMBps, LOps: r.LTenantLatency.Count,
 			})
 		}
 	}
@@ -108,7 +108,7 @@ func RunExtWRR(sc Scale) ExtWRRResult {
 		r := RunMixOnce(m, DareFull, 4, n, sc)
 		return ExtWRRRow{
 			Arbitration: name, TCount: n,
-			Tail: r.L.P999, Avg: r.L.Mean, TMBps: r.TMBps,
+			Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean, TMBps: r.TThroughputMBps,
 		}
 	})}
 }

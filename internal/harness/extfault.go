@@ -151,12 +151,16 @@ func RunExtFaultCell(kind StackKind, profile FaultProfile, seed uint64, sc Scale
 	for _, j := range c.Mix.AllJobs() {
 		j.Observer = observe
 	}
-	res, r := c.run(sc.Warmup, sc.Measure)
+	res := c.Run(sc.Warmup, sc.Measure)
+	ldone, lfail := windowTotals(c.Mix.LJobs)
+	tdone, tfail := windowTotals(c.Mix.TJobs)
+	lgood := stats.Counter{Ops: ldone.Ops - lfail.Ops, Bytes: ldone.Bytes - lfail.Bytes}
+	tgood := stats.Counter{Ops: tdone.Ops - tfail.Ops, Bytes: tdone.Bytes - tfail.Bytes}
 	return ExtFaultCell{
 		Kind: kind, Profile: profile,
-		LGoodKIOPS:   r.LGoodKIOPS,
-		TGoodMBps:    r.TGoodMBps,
-		FailedOps:    r.LFailedOps + r.TFailedOps,
+		LGoodKIOPS:   lgood.IOPS(sc.Measure) / 1000,
+		TGoodMBps:    tgood.MBps(sc.Measure),
+		FailedOps:    lfail.Ops + tfail.Ops,
 		InWinP99:     inWin.Quantile(0.99),
 		InWinP999:    inWin.Quantile(0.999),
 		PostWinP99:   postWin.Quantile(0.99),

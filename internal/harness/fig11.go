@@ -52,7 +52,7 @@ func RunFig11(sc Scale) Fig11Result {
 			return Fig11Cell{Kind: s.kind, X: s.x, Tail: c.Tail, Avg: c.Avg}
 		}
 		r := RunMixOnce(SVM(4), s.kind, 4, s.x, sc)
-		return Fig11Cell{Kind: s.kind, X: s.x, Tail: r.L.P999, Avg: r.L.Mean}
+		return Fig11Cell{Kind: s.kind, X: s.x, Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean}
 	})
 	var res Fig11Result
 	for i, s := range specs {

@@ -33,10 +33,10 @@ func RunFig2(sc Scale) Fig2Result {
 		with, without := grid[i], grid[len(counts)+i]
 		res.Rows = append(res.Rows, Fig2Row{
 			TCount:      n,
-			WithTail:    with.L.P999,
-			WithAvg:     with.L.Mean,
-			WithoutTail: without.L.P999,
-			WithoutAvg:  without.L.Mean,
+			WithTail:    with.LTenantLatency.P999,
+			WithAvg:     with.LTenantLatency.Mean,
+			WithoutTail: without.LTenantLatency.P999,
+			WithoutAvg:  without.LTenantLatency.Mean,
 		})
 	}
 	return res

@@ -50,9 +50,9 @@ func runPressureSweep(m Machine, sc Scale) Fig6Result {
 			r := grid[ki*len(TPressureCounts)+ti]
 			res.Cells = append(res.Cells, Fig6Cell{
 				Kind: kind, TCount: n,
-				Tail: r.L.P999, Avg: r.L.Mean,
-				LKIOPS: r.LKIOPS, TMBps: r.TMBps,
-				LOps: r.L.Count, CPUUtil: r.CPUUtil,
+				Tail: r.LTenantLatency.P999, Avg: r.LTenantLatency.Mean,
+				LKIOPS: r.LTenantKIOPS, TMBps: r.TThroughputMBps,
+				LOps: r.LTenantLatency.Count, CPUUtil: r.CPUUtilization,
 			})
 		}
 	}

@@ -38,7 +38,7 @@ func RunFig9(sc Scale) Fig9Result {
 	return Fig9Result{Cells: RunCells(len(specs), func(i int) Fig9Cell {
 		s := specs[i]
 		r := RunMixOnce(SVM(s.cores), s.kind, 4, s.n, sc)
-		return Fig9Cell{Kind: s.kind, Cores: s.cores, TCount: s.n, Tail: r.L.P999}
+		return Fig9Cell{Kind: s.kind, Cores: s.cores, TCount: s.n, Tail: r.LTenantLatency.P999}
 	})}
 }
 

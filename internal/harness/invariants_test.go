@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"daredevil/internal/block"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
+	"daredevil/internal/stats"
 	"daredevil/internal/workload"
 )
 
@@ -16,8 +19,6 @@ func TestEveryRequestCompletesExactlyOnce(t *testing.T) {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			env := NewEnv(SVM(4), kind)
-			completions := map[uint64]int{}
-			var bad []string
 			var jobs []*workload.Job
 			mix := NewMix(env)
 			mix.AddL(4, 0)
@@ -44,8 +45,6 @@ func TestEveryRequestCompletesExactlyOnce(t *testing.T) {
 						j.Tenant, j.Issued(), j.Done.Ops)
 				}
 			}
-			_ = completions
-			_ = bad
 		})
 	}
 }
@@ -66,14 +65,16 @@ func TestTimestampMonotonicity(t *testing.T) {
 				if ten.Class == block.ClassBE {
 					size = 131072
 				}
+				// An untraced span: the layers stamp submit and fetch on it.
 				rq := &block.Request{ID: uint64(i), Tenant: ten, Size: size,
-					Op: block.OpKind(i % 2), IssueTime: env.Eng.Now(), NSQ: -1}
+					Op: block.OpKind(i % 2), IssueTime: env.Eng.Now(), NSQ: -1, Span: &obs.Span{}}
 				rq.OnComplete = func(r *block.Request) {
 					checked++
-					if r.SubmitTime < r.IssueTime || r.FetchTime < r.SubmitTime ||
-						r.CQEPostTime < r.FetchTime || r.CompleteTime < r.CQEPostTime {
+					sp := r.Span
+					if sp.Submit < r.IssueTime || sp.Fetch < sp.Submit ||
+						r.CQEPostTime < sp.Fetch || r.CompleteTime < r.CQEPostTime {
 						t.Errorf("timestamps out of order: issue=%v submit=%v fetch=%v cqe=%v done=%v",
-							r.IssueTime, r.SubmitTime, r.FetchTime, r.CQEPostTime, r.CompleteTime)
+							r.IssueTime, sp.Submit, sp.Fetch, r.CQEPostTime, r.CompleteTime)
 					}
 				}
 				env.Stack.Submit(rq)
@@ -92,13 +93,13 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for _, kind := range AllKinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			run := func() MixResult {
+			run := func() CellResult {
 				return RunMixOnce(SVM(4), kind, 4, 8, Scale{
 					Warmup: 20 * sim.Millisecond, Measure: 60 * sim.Millisecond,
 				})
 			}
 			a, b := run(), run()
-			if a != b {
+			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("nondeterministic results:\n%+v\n%+v", a, b)
 			}
 		})
@@ -201,33 +202,33 @@ func TestShapesHoldAcrossSeeds(t *testing.T) {
 	}
 	sc := Scale{Warmup: 25 * sim.Millisecond, Measure: 100 * sim.Millisecond}
 	for _, shift := range []uint64{0, 1_000_003, 2_000_033} {
-		run := func(kind StackKind) MixResult {
-			env := NewEnv(SVM(4), kind)
-			mix := NewMix(env)
-			mix.SeedShift = shift
-			mix.AddL(4, 0)
-			mix.AddT(16, 0)
-			mix.StartAll()
-			env.Eng.RunUntil(sim.Time(sc.Warmup))
-			mix.ResetStats()
-			env.Eng.RunUntil(sim.Time(sc.Warmup + sc.Measure))
-			return mix.Collect(sc.Measure)
+		run := func(kind StackKind) CellResult {
+			c := NewCell(SVM(4), kind)
+			c.Mix.SeedShift = shift
+			c.Mix.AddL(4, 0)
+			c.Mix.AddT(16, 0)
+			return c.Run(sc.Warmup, sc.Measure)
 		}
 		dd, van := run(DareFull), run(Vanilla)
-		if dd.L.Mean*4 >= van.L.Mean {
+		if dd.LTenantLatency.Mean*4 >= van.LTenantLatency.Mean {
 			t.Errorf("seed shift %d: daredevil (%v) not well below vanilla (%v)",
-				shift, dd.L.Mean, van.L.Mean)
+				shift, dd.LTenantLatency.Mean, van.LTenantLatency.Mean)
 		}
 	}
 }
 
 // TestLTenantFairness verifies Daredevil serves same-class tenants evenly.
 func TestLTenantFairness(t *testing.T) {
-	r := RunMixOnce(SVM(4), DareFull, 4, 16, Scale{
-		Warmup: 25 * sim.Millisecond, Measure: 100 * sim.Millisecond,
-	})
-	if r.LFairness < 0.9 {
-		t.Fatalf("L-tenant fairness %v, want >= 0.9 (Jain)", r.LFairness)
+	c := NewCell(SVM(4), DareFull)
+	c.Mix.AddL(4, 0)
+	c.Mix.AddT(16, 0)
+	c.Run(25*sim.Millisecond, 100*sim.Millisecond)
+	var perL []float64
+	for _, j := range c.Mix.LJobs {
+		perL = append(perL, float64(j.Done.Ops))
+	}
+	if f := stats.JainIndex(perL); f < 0.9 {
+		t.Fatalf("L-tenant fairness %v, want >= 0.9 (Jain)", f)
 	}
 }
 
@@ -308,22 +309,20 @@ func TestLongRunStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long run")
 	}
-	env := NewEnv(SVM(4), DareFull)
-	mix := NewMix(env)
-	mix.AddL(4, 0)
-	mix.AddT(32, 0)
-	mix.StartAll()
-	env.Eng.RunUntil(sim.Time(3 * sim.Second))
+	c := NewCell(SVM(4), DareFull)
+	c.Mix.AddL(4, 0)
+	c.Mix.AddT(32, 0)
+	env := c.Env
+	r := c.Run(0, 3*sim.Second)
 	if env.Eng.Executed < 100_000 {
 		t.Fatalf("only %d events in 3s of saturated simulation", env.Eng.Executed)
 	}
-	r := mix.Collect(3 * sim.Second)
-	if r.L.Count == 0 || r.TMBps < 500 {
+	if r.LTenantLatency.Count == 0 || r.TThroughputMBps < 500 {
 		t.Fatalf("degenerate long-run result: %+v", r)
 	}
 	// Stop everything; the engine must drain to (near) empty — pending
 	// events bounded by in-flight work, not growing with runtime.
-	for _, j := range mix.AllJobs() {
+	for _, j := range c.Mix.AllJobs() {
 		j.Stop()
 	}
 	env.Eng.RunUntil(sim.Time(10 * sim.Second))

@@ -110,66 +110,17 @@ func (m *Mix) ResetStats() {
 	}
 }
 
-// MixResult aggregates one measurement window.
-type MixResult struct {
-	// L-tenant latency distribution (merged over L jobs).
-	L stats.Snapshot
-	// T-tenant latency distribution.
-	T stats.Snapshot
-	// LKIOPS is aggregate L-tenant thousands of IOPS.
-	LKIOPS float64
-	// TMBps is aggregate T-tenant throughput.
-	TMBps float64
-	// CPUUtil is the mean core utilization over the window.
-	CPUUtil float64
-	// LFairness is Jain's index over per-L-tenant completion counts (1 =
-	// every L-tenant served equally).
-	LFairness float64
-	// LGoodKIOPS and TGoodMBps are the goodput — completions minus
-	// terminally failed requests. Without faults they equal LKIOPS/TMBps.
-	LGoodKIOPS float64
-	TGoodMBps  float64
-	// LFailedOps and TFailedOps count terminally failed requests.
-	LFailedOps uint64
-	TFailedOps uint64
-}
-
-// Collect aggregates job stats over a window of length measured.
-func (m *Mix) Collect(measured sim.Duration) MixResult {
-	var l, t stats.Histogram
-	var lops, tops, lfail, tfail stats.Counter
-	for _, j := range m.LJobs {
-		l.Merge(&j.Lat)
-		lops.Ops += j.Done.Ops
-		lops.Bytes += j.Done.Bytes
-		lfail.Ops += j.Failed.Ops
-		lfail.Bytes += j.Failed.Bytes
+// windowTotals sums jobs' completions and terminal failures over the
+// measurement window (failed requests complete too, so failed is a subset
+// of done).
+func windowTotals(jobs []*workload.Job) (done, failed stats.Counter) {
+	for _, j := range jobs {
+		done.Ops += j.Done.Ops
+		done.Bytes += j.Done.Bytes
+		failed.Ops += j.Failed.Ops
+		failed.Bytes += j.Failed.Bytes
 	}
-	for _, j := range m.TJobs {
-		t.Merge(&j.Lat)
-		tops.Ops += j.Done.Ops
-		tops.Bytes += j.Done.Bytes
-		tfail.Ops += j.Failed.Ops
-		tfail.Bytes += j.Failed.Bytes
-	}
-	lgood := stats.Counter{Ops: lops.Ops - lfail.Ops, Bytes: lops.Bytes - lfail.Bytes}
-	tgood := stats.Counter{Ops: tops.Ops - tfail.Ops, Bytes: tops.Bytes - tfail.Bytes}
-	var perL []float64
-	for _, j := range m.LJobs {
-		perL = append(perL, float64(j.Done.Ops))
-	}
-	return MixResult{
-		L:          l.Snapshot(),
-		T:          t.Snapshot(),
-		LKIOPS:     lops.IOPS(measured) / 1000,
-		TMBps:      tops.MBps(measured),
-		CPUUtil:    m.Env.Pool.Utilization(sim.Duration(m.Env.Eng.Now())),
-		LFairness:  stats.JainIndex(perL),
-		LGoodKIOPS: lgood.IOPS(measured) / 1000,
-		TGoodMBps:  tgood.MBps(measured),
-		LFailedOps: lfail.Ops,
-		TFailedOps: tfail.Ops,
-	}
+	return done, failed
 }
 
 // RunMixGrid runs RunMixOnce for every (kind, tCount) pair on the
@@ -177,8 +128,8 @@ func (m *Mix) Collect(measured sim.Duration) MixResult {
 // (ki, ti) lands at index ki*len(tCounts)+ti. Each cell owns its engine,
 // so the grid fans out over Parallelism() workers with output identical
 // to a serial sweep.
-func RunMixGrid(machine Machine, kinds []StackKind, nL int, tCounts []int, sc Scale) []MixResult {
-	return RunCells(len(kinds)*len(tCounts), func(i int) MixResult {
+func RunMixGrid(machine Machine, kinds []StackKind, nL int, tCounts []int, sc Scale) []CellResult {
+	return RunCells(len(kinds)*len(tCounts), func(i int) CellResult {
 		kind := kinds[i/len(tCounts)]
 		n := tCounts[i%len(tCounts)]
 		return RunMixOnce(machine, kind, nL, n, sc)
@@ -187,10 +138,9 @@ func RunMixGrid(machine Machine, kinds []StackKind, nL int, tCounts []int, sc Sc
 
 // RunMixOnce builds a mix of nL/nT tenants in namespace 0, runs
 // warmup+measure, and aggregates — the basic cell of Figures 6, 7, 9.
-func RunMixOnce(machine Machine, kind StackKind, nL, nT int, sc Scale) MixResult {
+func RunMixOnce(machine Machine, kind StackKind, nL, nT int, sc Scale) CellResult {
 	c := NewCell(machine, kind)
 	c.Mix.AddL(nL, 0)
 	c.Mix.AddT(nT, 0)
-	_, r := c.run(sc.Warmup, sc.Measure)
-	return r
+	return c.Run(sc.Warmup, sc.Measure)
 }

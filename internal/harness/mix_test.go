@@ -14,17 +14,17 @@ func TestMixRunsOnEveryStack(t *testing.T) {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			res := RunMixOnce(SVM(4), kind, 4, 4, smokeScale)
-			if res.L.Count == 0 {
+			if res.LTenantLatency.Count == 0 {
 				t.Fatalf("%s: no L completions", kind)
 			}
-			if res.T.Count == 0 {
+			if res.TTenantLatency.Count == 0 {
 				t.Fatalf("%s: no T completions", kind)
 			}
-			if res.L.Mean <= 0 || res.TMBps <= 0 {
+			if res.LTenantLatency.Mean <= 0 || res.TThroughputMBps <= 0 {
 				t.Fatalf("%s: degenerate result %+v", kind, res)
 			}
 			t.Logf("%s: L avg=%v p99.9=%v kIOPS=%.1f | T %.0f MB/s | cpu=%.2f",
-				kind, res.L.Mean, res.L.P999, res.LKIOPS, res.TMBps, res.CPUUtil)
+				kind, res.LTenantLatency.Mean, res.LTenantLatency.P999, res.LTenantKIOPS, res.TThroughputMBps, res.CPUUtilization)
 		})
 	}
 }
@@ -32,23 +32,23 @@ func TestMixRunsOnEveryStack(t *testing.T) {
 func TestDaredevilBeatsVanillaUnderPressure(t *testing.T) {
 	van := RunMixOnce(SVM(4), Vanilla, 4, 16, smokeScale)
 	dd := RunMixOnce(SVM(4), DareFull, 4, 16, smokeScale)
-	t.Logf("vanilla: L avg=%v p99.9=%v | T %.0f MB/s", van.L.Mean, van.L.P999, van.TMBps)
-	t.Logf("daredevil: L avg=%v p99.9=%v | T %.0f MB/s", dd.L.Mean, dd.L.P999, dd.TMBps)
-	if dd.L.Mean*2 >= van.L.Mean {
+	t.Logf("vanilla: L avg=%v p99.9=%v | T %.0f MB/s", van.LTenantLatency.Mean, van.LTenantLatency.P999, van.TThroughputMBps)
+	t.Logf("daredevil: L avg=%v p99.9=%v | T %.0f MB/s", dd.LTenantLatency.Mean, dd.LTenantLatency.P999, dd.TThroughputMBps)
+	if dd.LTenantLatency.Mean*2 >= van.LTenantLatency.Mean {
 		t.Fatalf("daredevil L avg (%v) should be well below vanilla (%v) under 16 T-tenants",
-			dd.L.Mean, van.L.Mean)
+			dd.LTenantLatency.Mean, van.LTenantLatency.Mean)
 	}
-	if dd.TMBps < van.TMBps*0.5 {
-		t.Fatalf("daredevil T throughput (%.0f) collapsed vs vanilla (%.0f)", dd.TMBps, van.TMBps)
+	if dd.TThroughputMBps < van.TThroughputMBps*0.5 {
+		t.Fatalf("daredevil T throughput (%.0f) collapsed vs vanilla (%.0f)", dd.TThroughputMBps, van.TThroughputMBps)
 	}
 }
 
 func TestInterferenceGrowsWithTPressure(t *testing.T) {
 	low := RunMixOnce(SVM(4), Vanilla, 4, 0, smokeScale)
 	high := RunMixOnce(SVM(4), Vanilla, 4, 16, smokeScale)
-	t.Logf("vanilla no-T: L avg=%v; 16T: L avg=%v", low.L.Mean, high.L.Mean)
-	if high.L.Mean < low.L.Mean*3 {
-		t.Fatalf("the multi-tenancy issue is absent: %v -> %v", low.L.Mean, high.L.Mean)
+	t.Logf("vanilla no-T: L avg=%v; 16T: L avg=%v", low.LTenantLatency.Mean, high.LTenantLatency.Mean)
+	if high.LTenantLatency.Mean < low.LTenantLatency.Mean*3 {
+		t.Fatalf("the multi-tenancy issue is absent: %v -> %v", low.LTenantLatency.Mean, high.LTenantLatency.Mean)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestPressureSweepShapes(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	counts := []int{0, 4, 16, 32}
-	results := map[StackKind][]MixResult{}
+	results := map[StackKind][]CellResult{}
 	for _, kind := range ComparisonKinds {
 		for _, n := range counts {
 			results[kind] = append(results[kind], RunMixOnce(SVM(4), kind, 4, n, smokeScale))
@@ -67,21 +67,21 @@ func TestPressureSweepShapes(t *testing.T) {
 		for i, n := range counts {
 			r := results[kind][i]
 			t.Logf("%-11s T=%2d: L avg=%10v p99.9=%10v kIOPS=%5.2f | T %6.0f MB/s",
-				kind, n, r.L.Mean, r.L.P999, r.LKIOPS, r.TMBps)
+				kind, n, r.LTenantLatency.Mean, r.LTenantLatency.P999, r.LTenantKIOPS, r.TThroughputMBps)
 		}
 	}
 	// Shape assertions from Fig. 6: at 32 T-tenants Daredevil's average L
 	// latency beats vanilla and blk-switch by a wide margin while keeping
 	// comparable T throughput.
 	dd, van, bs := results[DareFull][3], results[Vanilla][3], results[BlkSwitch][3]
-	if dd.L.Mean*5 >= van.L.Mean {
-		t.Errorf("daredevil avg (%v) should be >=5x below vanilla (%v) at 32T", dd.L.Mean, van.L.Mean)
+	if dd.LTenantLatency.Mean*5 >= van.LTenantLatency.Mean {
+		t.Errorf("daredevil avg (%v) should be >=5x below vanilla (%v) at 32T", dd.LTenantLatency.Mean, van.LTenantLatency.Mean)
 	}
-	if dd.L.Mean*2 >= bs.L.Mean {
-		t.Errorf("daredevil avg (%v) should be well below blk-switch (%v) at 32T", dd.L.Mean, bs.L.Mean)
+	if dd.LTenantLatency.Mean*2 >= bs.LTenantLatency.Mean {
+		t.Errorf("daredevil avg (%v) should be well below blk-switch (%v) at 32T", dd.LTenantLatency.Mean, bs.LTenantLatency.Mean)
 	}
-	if dd.TMBps < van.TMBps*0.7 {
-		t.Errorf("daredevil T throughput (%.0f) not comparable to vanilla (%.0f)", dd.TMBps, van.TMBps)
+	if dd.TThroughputMBps < van.TThroughputMBps*0.7 {
+		t.Errorf("daredevil T throughput (%.0f) not comparable to vanilla (%.0f)", dd.TThroughputMBps, van.TThroughputMBps)
 	}
 }
 

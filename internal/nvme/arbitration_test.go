@@ -5,6 +5,7 @@ import (
 
 	"daredevil/internal/block"
 	"daredevil/internal/cpus"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -69,14 +70,15 @@ func TestWRRUrgentStrictPriority(t *testing.T) {
 	}
 	urgent := &block.Request{ID: 99, Tenant: ten, Size: 4096, NSQ: -1}
 	urgent.OnComplete = func(r *block.Request) {}
+	urgent.Span = &obs.Span{}
 	d.Enqueue(eng.Now(), 1, urgent, true)
 	first = urgent
 	eng.Run()
 	// The urgent request is fetched within the first couple of fetch slots
 	// despite arriving last.
 	maxWait := 3 * (d.Config().FetchCost + 32*d.Config().FetchPerPage)
-	if first.FetchTime.Sub(first.SubmitTime) > maxWait {
-		t.Fatalf("urgent request waited %v for fetch", first.FetchTime.Sub(first.SubmitTime))
+	if wait := first.Span.Fetch.Sub(first.Span.Submit); wait > maxWait {
+		t.Fatalf("urgent request waited %v for fetch", wait)
 	}
 }
 

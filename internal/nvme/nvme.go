@@ -185,9 +185,10 @@ type NSQ struct {
 	// class is the WRR priority class (ignored under round-robin).
 	class QueueClass
 
-	// Lock serializes tail updates from multiple cores; its wait times are
-	// the submission-side contention that feeds NSQ merits (§5.3).
-	Lock sim.FIFORes
+	// lock serializes tail updates from multiple cores; lockWait sums its
+	// waits, the submission-side contention that feeds NSQ merits (§5.3).
+	lock     sim.FIFORes
+	lockWait sim.Duration
 
 	// Submitted counts enqueued requests (nq.submitted_rqs).
 	Submitted uint64
@@ -210,7 +211,7 @@ func (q *NSQ) Full() bool { return q.Len() >= q.dev.cfg.QueueDepth }
 func (q *NSQ) NCQ() *NCQ { return q.ncq }
 
 // InLockTime reports cumulative lock wait (nq.in_lock_µs).
-func (q *NSQ) InLockTime() sim.Duration { return q.Lock.TotalWait }
+func (q *NSQ) InLockTime() sim.Duration { return q.lockWait }
 
 // NCQ is a completion queue.
 type NCQ struct {
@@ -504,7 +505,7 @@ func (d *Device) resolve(ns int, offset int64) int64 {
 // Enqueue places rq into NSQ nsqID at instant now, optionally ringing the
 // doorbell. It returns ok=false when the queue is full (caller requeues),
 // otherwise the CPU overhead (lock wait + hold) the submitting core must
-// absorb. rq.SubmitTime, rq.LockWait and rq.NSQ are filled in.
+// absorb. rq.LockWait and rq.NSQ are filled in.
 //
 //ddvet:hotpath
 func (d *Device) Enqueue(now sim.Time, nsqID int, rq *block.Request, ring bool) (ok bool, overhead sim.Duration) {
@@ -521,10 +522,10 @@ func (d *Device) Enqueue(now sim.Time, nsqID int, rq *block.Request, ring bool) 
 		d.frHost.Record(now, frRejectFull, rq.ID, int64(nsqID))
 		return false, 0
 	}
-	grant, wait := q.Lock.Acquire(now, d.cfg.SQLockHold)
+	grant, wait := q.lock.Acquire(now, d.cfg.SQLockHold)
+	q.lockWait += wait
 	enqAt := grant.Add(d.cfg.SQLockHold)
 	rq.LockWait = wait
-	rq.SubmitTime = enqAt
 	rq.NSQ = nsqID
 	if sp := rq.Span; sp != nil {
 		sp.Submit = enqAt
@@ -687,7 +688,6 @@ func (d *Device) finishFetch() {
 	q.ncq.InFlight++
 	cmd.state = cmdInflight
 	now := d.eng.Now()
-	cmd.rq.FetchTime = now
 	if sp := cmd.rq.Span; sp != nil {
 		sp.Fetch = now
 		// Re-derive the priced fetch window (maybeFetch priced this same

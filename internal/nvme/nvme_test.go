@@ -6,6 +6,7 @@ import (
 	"daredevil/internal/block"
 	"daredevil/internal/cpus"
 	"daredevil/internal/flash"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -89,6 +90,7 @@ func TestSingleRequestCompletes(t *testing.T) {
 	done := false
 	rq.IssueTime = eng.Now()
 	rq.OnComplete = func(r *block.Request) { done = true }
+	rq.Span = &obs.Span{} // untraced span: the layers stamp its lifecycle
 	ok, _ := d.Enqueue(eng.Now(), 0, rq, true)
 	if !ok {
 		t.Fatal("enqueue rejected on empty queue")
@@ -103,7 +105,7 @@ func TestSingleRequestCompletes(t *testing.T) {
 	if rq.Latency() > 200*sim.Microsecond {
 		t.Fatalf("uncontended 4KB read latency %v unexpectedly high", rq.Latency())
 	}
-	if rq.FetchTime < rq.SubmitTime || rq.CompleteTime < rq.FetchTime {
+	if rq.Span.Fetch < rq.Span.Submit || rq.CompleteTime < rq.Span.Fetch {
 		t.Fatal("timestamps out of order")
 	}
 }
@@ -174,7 +176,6 @@ func TestRoundRobinFairness(t *testing.T) {
 	ten := &block.Tenant{ID: 1, Core: 0}
 	// Load NSQ 0 with many entries and NSQ 1 with one; the single entry on
 	// NSQ 1 must be fetched second (RR), not after all of NSQ 0.
-	var fetchOrder []uint64
 	for i := 0; i < 5; i++ {
 		rq := mkReq(uint64(i), ten, 4096, block.OpRead)
 		rq.OnComplete = func(r *block.Request) {}
@@ -182,15 +183,14 @@ func TestRoundRobinFairness(t *testing.T) {
 	}
 	solo := mkReq(100, ten, 4096, block.OpRead)
 	solo.OnComplete = func(r *block.Request) {}
+	solo.Span = &obs.Span{}
 	d.Enqueue(eng.Now(), 1, solo, true)
 	eng.Run()
-	_ = fetchOrder
 	// RR means the solo request's fetch must not wait for all 5: its fetch
 	// time is bounded by two fetch slots.
 	maxWait := 3 * (d.Config().FetchCost + 2*d.Config().FetchPerPage)
-	if solo.FetchTime.Sub(solo.SubmitTime) > maxWait {
-		t.Fatalf("solo fetch waited %v; round-robin should interleave (max %v)",
-			solo.FetchTime.Sub(solo.SubmitTime), maxWait)
+	if wait := solo.Span.Fetch.Sub(solo.Span.Submit); wait > maxWait {
+		t.Fatalf("solo fetch waited %v; round-robin should interleave (max %v)", wait, maxWait)
 	}
 }
 

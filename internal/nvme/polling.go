@@ -9,8 +9,8 @@ import (
 // core checks the queue at a fixed interval and drains whatever posted.
 // The paper focuses on interrupt-driven completion "due to its generality"
 // (§2.1); polling is implemented as an extension so its latency/CPU
-// trade-off can be quantified on the same workloads (see
-// BenchmarkExtensionPolling).
+// trade-off can be quantified on the same workloads (see the ext-poll
+// experiment).
 //
 // The poll loop arms lazily: it runs only while the NCQ has in-flight or
 // pending commands, so an idle device costs nothing.

@@ -6,6 +6,7 @@ import (
 	"daredevil/internal/block"
 	"daredevil/internal/cpus"
 	"daredevil/internal/fault"
+	"daredevil/internal/obs"
 	"daredevil/internal/sim"
 )
 
@@ -220,12 +221,13 @@ func TestHiccupPausesFetch(t *testing.T) {
 	rq := mkReq(1, ten, 4096, block.OpRead)
 	completions := 0
 	rq.OnComplete = func(r *block.Request) { completions++ }
+	rq.Span = &obs.Span{}
 	d.Enqueue(eng.Now(), 0, rq, true)
 	eng.Run()
 	if completions != 1 || rq.Err != nil {
 		t.Fatalf("completions=%d err=%v, want 1/nil", completions, rq.Err)
 	}
-	if got := sim.Duration(rq.FetchTime); got < 300*sim.Microsecond {
+	if got := sim.Duration(rq.Span.Fetch); got < 300*sim.Microsecond {
 		t.Fatalf("fetched at %v, inside the hiccup window", got)
 	}
 }

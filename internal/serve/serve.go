@@ -92,6 +92,7 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	jobOrder []string
+	finished []string // terminal job ids, oldest first; see retire
 	nextID   int
 	draining bool
 
@@ -160,6 +161,7 @@ func (s *Server) work() {
 // into a failed job rather than a dead daemon.
 func (s *Server) execute(jb *job) {
 	defer close(jb.done)
+	defer s.retire(jb)
 	defer func() {
 		if p := recover(); p != nil {
 			jb.setFailed(fmt.Sprintf("cell panicked: %v", p))
@@ -379,6 +381,30 @@ func (s *Server) submit(jb *job) (status int) {
 	s.jobOrder = append(s.jobOrder, jb.id)
 	s.jobsAccepted.Add(1)
 	return http.StatusAccepted
+}
+
+// maxFinishedJobs bounds the terminal jobs (and the results they hold)
+// kept for GET; the result cache, not this list, serves repeats.
+const maxFinishedJobs = 1024
+
+// retire records jb as terminal and, past maxFinishedJobs, forgets the
+// oldest terminal job. Queued and running jobs are never evicted.
+func (s *Server) retire(jb *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finished = append(s.finished, jb.id)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = s.finished[1:]
+	delete(s.jobs, old)
+	for i, id := range s.jobOrder {
+		if id == old {
+			s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
+			break
+		}
+	}
 }
 
 // jobByID looks a job up.

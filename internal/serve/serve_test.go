@@ -447,3 +447,47 @@ func TestWaitOutlivesReadTimeout(t *testing.T) {
 		t.Fatalf("stalled body: got %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestFinishedJobsBounded pins the job-list bound: past maxFinishedJobs
+// terminal jobs the oldest finished one is forgotten first, while a job
+// still running is kept however old it is.
+func TestFinishedJobsBounded(t *testing.T) {
+	release := make(chan struct{})
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
+	s.runPoint = blockingStub(release)
+	defer s.Close()
+
+	running := newJob(jobSweep)
+	running.points = []scenario.Point{{}} // one cell: parks in the stub
+	if code := s.submit(running); code != http.StatusAccepted {
+		t.Fatalf("submit running job: %d", code)
+	}
+	var ids []string
+	for i := 0; i < maxFinishedJobs+2; i++ {
+		jb := newJob(jobSweep) // no cells: finishes at once
+		if code := s.submit(jb); code != http.StatusAccepted {
+			t.Fatalf("submit job %d: %d", i, code)
+		}
+		<-jb.done
+		ids = append(ids, jb.id)
+	}
+	has := func(id string) bool { _, ok := s.jobByID(id); return ok }
+	if has(ids[0]) || has(ids[1]) {
+		t.Errorf("the two oldest finished jobs %s, %s were kept", ids[0], ids[1])
+	}
+	if !has(ids[2]) || !has(ids[len(ids)-1]) {
+		t.Error("a finished job within the bound was evicted")
+	}
+	if !has(running.id) {
+		t.Fatal("the running job was evicted")
+	}
+	if n := len(s.listJobs()); n != maxFinishedJobs+1 {
+		t.Errorf("listJobs has %d jobs, want %d", n, maxFinishedJobs+1)
+	}
+
+	close(release)
+	<-running.done
+	if !has(running.id) || has(ids[2]) {
+		t.Error("finishing the running job must evict the oldest finished job instead of itself")
+	}
+}

@@ -8,12 +8,6 @@ package sim
 // resource and charges that wait to whatever it models (e.g. CPU busy time).
 type FIFORes struct {
 	freeAt Time
-
-	// Cumulative accounting, consumed by NQ merit calculations and by the
-	// §7.5 overhead experiments.
-	Acquisitions uint64
-	TotalWait    Duration
-	TotalHold    Duration
 }
 
 // Acquire requests the resource at instant now for hold time hold. It
@@ -26,9 +20,6 @@ func (r *FIFORes) Acquire(now Time, hold Duration) (grant Time, wait Duration) {
 	grant = MaxTime(now, r.freeAt)
 	wait = grant.Sub(now)
 	r.freeAt = grant.Add(hold)
-	r.Acquisitions++
-	r.TotalWait += wait
-	r.TotalHold += hold
 	return grant, wait
 }
 
@@ -37,18 +28,3 @@ func (r *FIFORes) FreeAt() Time { return r.freeAt }
 
 // Busy reports whether the resource is held at instant now.
 func (r *FIFORes) Busy(now Time) bool { return r.freeAt > now }
-
-// AvgWait reports the mean wait per acquisition, or 0 with no acquisitions.
-func (r *FIFORes) AvgWait() Duration {
-	if r.Acquisitions == 0 {
-		return 0
-	}
-	return r.TotalWait / Duration(r.Acquisitions)
-}
-
-// Reset clears accounting but keeps the current occupancy.
-func (r *FIFORes) Reset() {
-	r.Acquisitions = 0
-	r.TotalWait = 0
-	r.TotalHold = 0
-}

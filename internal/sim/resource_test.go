@@ -47,32 +47,6 @@ func TestFIFOResBusy(t *testing.T) {
 	}
 }
 
-func TestFIFOResAccounting(t *testing.T) {
-	var r FIFORes
-	r.Acquire(0, 10)
-	r.Acquire(0, 10) // waits 10
-	r.Acquire(0, 10) // waits 20
-	if r.Acquisitions != 3 {
-		t.Fatalf("Acquisitions = %d, want 3", r.Acquisitions)
-	}
-	if r.TotalWait != 30 {
-		t.Fatalf("TotalWait = %v, want 30", r.TotalWait)
-	}
-	if r.TotalHold != 30 {
-		t.Fatalf("TotalHold = %v, want 30", r.TotalHold)
-	}
-	if r.AvgWait() != 10 {
-		t.Fatalf("AvgWait = %v, want 10", r.AvgWait())
-	}
-	r.Reset()
-	if r.Acquisitions != 0 || r.TotalWait != 0 || r.AvgWait() != 0 {
-		t.Fatal("Reset did not clear accounting")
-	}
-	if r.FreeAt() != 30 {
-		t.Fatalf("Reset must preserve occupancy; FreeAt = %v, want 30", r.FreeAt())
-	}
-}
-
 func TestFIFOResNegativeHoldPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

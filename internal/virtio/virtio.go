@@ -210,8 +210,6 @@ func (vm *VM) forward(q *vq, rq *block.Request) sim.Duration {
 			Cost:  vm.cfg.CompleteCost,
 			Owner: q.proxy.ID,
 			Fn: func() sim.Duration {
-				rq.SubmitTime = hr.SubmitTime
-				rq.FetchTime = hr.FetchTime
 				rq.CQEPostTime = hr.CQEPostTime
 				rq.LockWait = hr.LockWait
 				rq.CrossCore = hr.CrossCore

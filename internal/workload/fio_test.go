@@ -25,9 +25,7 @@ type fakeStack struct {
 func (f *fakeStack) Name() string             { return "fake" }
 func (f *fakeStack) Register(t *block.Tenant) { f.registered = append(f.registered, t) }
 func (f *fakeStack) Submit(rq *block.Request) sim.Duration {
-	rq.SubmitTime = f.eng.Now()
 	f.eng.After(f.delay, func() {
-		rq.FetchTime = f.eng.Now()
 		rq.CQEPostTime = f.eng.Now()
 		snap := *rq
 		f.submitted = append(f.submitted, &snap)
