@@ -169,10 +169,16 @@ func (p *Pool) Utilization(elapsed sim.Duration) float64 {
 	return u
 }
 
-// Submit enqueues task work on the core.
+// Submit enqueues task work on the core. An idle core with nothing
+// queued starts the item at once, without the round trip through taskQ.
 //
 //ddvet:hotpath
 func (c *Core) Submit(w Work) {
+	if !c.running && c.irqQ.len() == 0 && c.taskQ.len() == 0 {
+		c.running = true
+		c.start(w, false)
+		return
+	}
 	c.taskQ.push(w)
 	c.kick()
 }
@@ -201,18 +207,25 @@ func (c *Core) kick() {
 	c.dispatch()
 }
 
+// dispatch starts the next queued item, interrupt work first, or marks
+// the core idle when both queues are empty.
+//
 //ddvet:hotpath
 func (c *Core) dispatch() {
-	var w Work
-	var isIRQ bool
-	if ww, ok := c.irqQ.pop(); ok {
-		w, isIRQ = ww, true
-	} else if ww, ok := c.taskQ.pop(); ok {
-		w = ww
+	if w, ok := c.irqQ.pop(); ok {
+		c.start(w, true)
+	} else if w, ok := c.taskQ.pop(); ok {
+		c.start(w, false)
 	} else {
 		c.running = false
-		return
 	}
+}
+
+// start begins executing w, charging a context switch when a task item
+// changes owner, and schedules its finish.
+//
+//ddvet:hotpath
+func (c *Core) start(w Work, isIRQ bool) {
 	cost := w.Cost
 	if !isIRQ && w.Owner != c.lastOwner {
 		if c.lastOwner != OwnerNone || w.Owner != OwnerNone {

@@ -109,3 +109,78 @@ func BenchmarkFIFOResAcquire(b *testing.B) {
 		r.Acquire(Time(i), 5)
 	}
 }
+
+// BenchmarkEngineWheelBatch drains batches of n events that share one
+// level-0 wheel tick, scheduled in sorted, reversed or random order of
+// their instants, and reports ns per event. A sorted batch, and any batch
+// of 16, drains as one run; a larger reversed or shuffled one passes the
+// sort's cap early and goes through the heap.
+func BenchmarkEngineWheelBatch(b *testing.B) {
+	for _, order := range []string{"sorted", "reversed", "random"} {
+		for _, n := range []int{16, 256, 4096} {
+			b.Run(fmt.Sprintf("%s/n=%d", order, n), func(b *testing.B) {
+				// Offsets into the tick, distinct and in the batch's order.
+				offs := make([]Duration, n)
+				step := Duration(1<<wheelTickShift) / Duration(n)
+				for k := range offs {
+					offs[k] = Duration(k) * step
+				}
+				switch order {
+				case "reversed":
+					for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+						offs[i], offs[j] = offs[j], offs[i]
+					}
+				case "random":
+					rng := NewRand(uint64(n))
+					for i := n - 1; i > 0; i-- {
+						j := rng.Intn(i + 1)
+						offs[i], offs[j] = offs[j], offs[i]
+					}
+				}
+				e := New()
+				fn := func() {}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Two ticks ahead: a level-0 slot of its own.
+					base := Time((int64(e.Now())>>wheelTickShift + 2) << wheelTickShift)
+					for _, off := range offs {
+						e.At(base.Add(off), fn)
+					}
+					e.Run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+			})
+		}
+	}
+}
+
+// BenchmarkEngineRetryStorm is the overload cell's engine shape: parked
+// timers re-arm at a 320 µs backoff cap (so each flushed slot holds a
+// batch of them), and every firing is followed by a same-tick 500 ns
+// core-finish event. One op is one event.
+func BenchmarkEngineRetryStorm(b *testing.B) {
+	const (
+		parked  = 256
+		backoff = 320 * Microsecond
+		finish  = 500 * Nanosecond
+	)
+	e := New()
+	n := 0
+	done := func() { n++ }
+	var retry func()
+	retry = func() {
+		n++
+		if n < b.N {
+			e.AfterTimer(backoff, retry)
+			e.After(finish, done)
+		}
+	}
+	rng := NewRand(1)
+	for i := 0; i < parked; i++ {
+		e.AfterTimer(Duration(rng.Int63n(int64(backoff))), retry)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

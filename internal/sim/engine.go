@@ -16,14 +16,24 @@ package sim
 //     long-horizon events, so command timeouts, coalescing timers, and
 //     erase completions neither pay O(log n) insertion nor inflate the
 //     heap every short-horizon event sifts through.
+//   - A flushed level-0 wheel slot stays out of the heap: it is sorted in
+//     place and consumed as the engine's run, an array drained from the
+//     front (a slot too disordered to sort cheaply goes to the heap
+//     instead). A retry storm parks dozens of timers in each tick, and
+//     draining them as one run costs a compare per event where the heap
+//     paid a sift.
 //
 // Events at the same instant fire in scheduling order (seq breaks ties),
-// which keeps runs deterministic; the wheel only stages events — the heap
-// makes every firing decision, so wheel residency never changes order.
+// which keeps runs deterministic. The wheel only stages events; the run
+// head and the heap top together decide firing order by (at, seq) alone,
+// so residency (heap, wheel or run) never changes order. The run is
+// always empty when the next slot flushes (wheel.go states why), so one
+// run suffices.
 
-// event is one pending entry in the heap. It carries only the ordering key
-// and the index of the slot holding the callback, so heap swaps move 24
-// bytes and never touch the garbage collector.
+// event is one pending entry in the heap, the wheel or the run. It
+// carries only the ordering key and the index of the slot holding the
+// callback, so heap swaps move 24 bytes and never touch the garbage
+// collector.
 type event struct {
 	at  Time
 	seq uint64
@@ -57,8 +67,14 @@ type slot struct {
 // entire simulated machine runs on one engine, single-threaded. Independent
 // engines (one per experiment cell) may run on different goroutines.
 type Engine struct {
-	now     Time
-	events  []event
+	now    Time
+	events []event
+	// run is the sorted level-0 slot being drained (wheel.go, flush);
+	// run[rh:] is still pending. Every run event lies in the wheel
+	// clock's tick, so the run is empty again before the next slot
+	// flushes, and flush hands its drained buffer back to the wheel.
+	run     []event
+	rh      int
 	slots   []slot
 	free    []int32
 	seq     uint64
@@ -101,8 +117,8 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of queued events (cancelled-but-unconsumed
 // timers included, as they still occupy queue entries), whether resident
-// in the heap or the timing wheel.
-func (e *Engine) Pending() int { return len(e.events) + e.wh.count }
+// in the heap, the timing wheel or the run.
+func (e *Engine) Pending() int { return len(e.events) + e.wh.count + len(e.run) - e.rh }
 
 // allocSlot takes a slot from the free-list, growing the table only when
 // every slot is live (the high-water mark).
@@ -273,16 +289,36 @@ func (e *Engine) Step() bool {
 	if e.stopped || !e.prepare() {
 		return false
 	}
-	e.fire()
+	e.fire(e.runFirst())
 	return true
 }
 
-// fire pops and dispatches the heap top. prepare must have established
-// that it is the globally earliest event.
+// runFirst reports whether the earliest pending event is the run head
+// rather than the heap top. prepare must have returned true.
+func (e *Engine) runFirst() bool {
+	return e.rh < len(e.run) && (len(e.events) == 0 || e.run[e.rh].before(e.events[0]))
+}
+
+// headAt is the instant of the earliest pending event, given runFirst.
+func (e *Engine) headAt(inRun bool) Time {
+	if inRun {
+		return e.run[e.rh].at
+	}
+	return e.events[0].at
+}
+
+// fire removes the earliest pending event, from the run or the heap as
+// runFirst decided, and dispatches it.
 //
 //ddvet:hotpath
-func (e *Engine) fire() {
-	ev := e.pop()
+func (e *Engine) fire(inRun bool) {
+	var ev event
+	if inRun {
+		ev = e.run[e.rh]
+		e.rh++
+	} else {
+		ev = e.pop()
+	}
 	e.now = ev.at
 	s := &e.slots[ev.id]
 	fn, argFn, arg, tm := s.fn, s.argFn, s.arg, s.timer
@@ -314,8 +350,12 @@ func (e *Engine) fire() {
 //
 //ddvet:hotpath
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped && e.prepare() && e.events[0].at <= t {
-		e.fire()
+	for !e.stopped && e.prepare() {
+		inRun := e.runFirst()
+		if e.headAt(inRun) > t {
+			break
+		}
+		e.fire(inRun)
 	}
 	if !e.stopped && e.now < t {
 		e.now = t
@@ -327,7 +367,7 @@ func (e *Engine) RunUntil(t Time) {
 //ddvet:hotpath
 func (e *Engine) Run() {
 	for !e.stopped && e.prepare() {
-		e.fire()
+		e.fire(e.runFirst())
 	}
 }
 
@@ -360,7 +400,7 @@ type Timer struct {
 }
 
 // Stop cancels the timer if it has not fired. It reports whether the call
-// prevented the callback from running. The queued event remains in the heap
+// prevented the callback from running. The queued event remains queued
 // and is discarded (slot recycled, callback skipped) when its instant is
 // reached.
 func (t *Timer) Stop() bool {
@@ -377,6 +417,18 @@ func (t *Timer) Fired() bool { return t.fired }
 // Active reports whether the timer is still pending.
 func (t *Timer) Active() bool { return !t.fired && !t.stopped }
 
+// newTimer returns a reset Timer handle, reusing a consumed one from
+// timerFree when there is one. AfterTimer and AfterTimerArg share it.
+func (e *Engine) newTimer() *Timer {
+	if n := len(e.timerFree); n > 0 {
+		t := e.timerFree[n-1]
+		e.timerFree = e.timerFree[:n-1]
+		*t = Timer{}
+		return t
+	}
+	return &Timer{}
+}
+
 // AfterTimer schedules fn to run d from now and returns a handle that can
 // cancel it. Unlike After, the callback is dispatched through the timer's
 // slot directly — no wrapper closure is allocated, and the handle itself
@@ -388,14 +440,7 @@ func (e *Engine) AfterTimer(d Duration, fn func()) *Timer {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	var t *Timer
-	if n := len(e.timerFree); n > 0 {
-		t = e.timerFree[n-1]
-		e.timerFree = e.timerFree[:n-1]
-		t.stopped, t.fired = false, false
-	} else {
-		t = &Timer{}
-	}
+	t := e.newTimer()
 	e.seq++
 	at := e.now.Add(d)
 	ev := event{at: at, seq: e.seq, id: e.allocSlot(fn, t)}
@@ -416,14 +461,7 @@ func (e *Engine) AfterTimerArg(d Duration, fn func(any), arg any) *Timer {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	var t *Timer
-	if n := len(e.timerFree); n > 0 {
-		t = e.timerFree[n-1]
-		e.timerFree = e.timerFree[:n-1]
-		t.stopped, t.fired = false, false
-	} else {
-		t = &Timer{}
-	}
+	t := e.newTimer()
 	e.seq++
 	at := e.now.Add(d)
 	id := e.allocArgSlot(fn, arg)

@@ -173,57 +173,101 @@ func TestPastSchedulingPanicMessage(t *testing.T) {
 	e.At(5, func() {})
 }
 
+// fuzzDelay maps one byte onto a delay spanning every residency: the
+// low three bits are a mantissa (0 gives same-instant ties), the high
+// five an exponent from 2^8 ns, so delays run from the current tick
+// through all three wheel levels (up to 2^32 ns) to beyond the horizon.
+func fuzzDelay(x byte) Duration { return Duration(x&7) << (x>>3 + 8) }
+
 // FuzzScheduleCancel feeds random schedule/step/cancel interleavings into
-// the engine and checks the core invariants: monotonic clock, FIFO ties,
-// and exact slot accounting.
+// the engine and checks the core invariants: every fired event's
+// (at, seq) follows the reference sort of everything scheduled and not
+// cancelled, the clock never moves backwards, and the slot accounting is
+// exact. A schedule op takes its
+// delay from the next byte (fuzzDelay), so the heap, every wheel level,
+// the run and the beyond-horizon path all take part.
 func FuzzScheduleCancel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 200, 1, 9, 2})
 	f.Add([]byte{5, 5, 5, 1, 1, 1, 2, 2, 2})
 	f.Add([]byte{})
+	// Level-0 batches with ties, a cancel and steps between them.
+	f.Add([]byte{0, 49, 1, 49, 0, 50, 1, 57, 2, 0, 3, 0, 50, 3, 3, 1, 49, 3})
+	// Levels 1 and 2, the level-2 edge, beyond the horizon, then
+	// same-tick pushes.
+	f.Add([]byte{0, 100, 1, 150, 0, 193, 1, 201, 1, 255, 3, 0, 8, 1, 0, 3, 3, 3, 0, 16})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := New()
+		var sched, fired []refEvent
+		cancelled := map[int]bool{}
 		var timers []*Timer
-		scheduled, fired, cancelled := 0, 0, 0
+		owner := map[*Timer]int{} // the event a (recycled) handle now stands for
 		last := Time(0)
-		check := func() {
-			if e.Now() < last {
-				t.Fatalf("clock moved backwards: %v < %v", e.Now(), last)
-			}
-			last = e.Now()
+		record := func(idx int) func() {
+			return func() { fired = append(fired, refEvent{at: e.Now(), idx: idx}) }
 		}
-		for _, b := range ops {
+		for i := 0; i < len(ops); i++ {
+			b := ops[i]
 			switch b % 4 {
-			case 0: // plain event
-				scheduled++
-				e.After(Duration(b/4), func() { fired++; check() })
-			case 1: // cancellable event
-				scheduled++
-				timers = append(timers, e.AfterTimer(Duration(b/4), func() { fired++; check() }))
+			case 0, 1: // plain or cancellable event
+				var d Duration
+				if i+1 < len(ops) {
+					i++
+					d = fuzzDelay(ops[i])
+				}
+				idx := len(sched)
+				sched = append(sched, refEvent{at: e.Now().Add(d), idx: idx})
+				if b%4 == 0 {
+					e.After(d, record(idx))
+					break
+				}
+				tm := e.AfterTimer(d, record(idx))
+				owner[tm] = idx
+				timers = append(timers, tm)
 			case 2: // cancel one (double-Stops exercised too)
 				// Retained handles may alias recycled timers, which is
 				// exactly the contract the fuzzer should exercise: a
-				// successful Stop always cancels one live timer,
-				// whichever one owns the memory now.
+				// successful Stop always cancels one live timer, the
+				// one that owns the memory now.
 				if len(timers) > 0 {
-					if timers[int(b/4)%len(timers)].Stop() {
-						cancelled++
+					tm := timers[int(b/4)%len(timers)]
+					if tm.Stop() {
+						cancelled[owner[tm]] = true
 					}
 				}
 			case 3: // make some progress
 				e.Step()
-				check()
+				// Consuming a cancelled event moves the clock too.
+				if e.Now() < last {
+					t.Fatalf("clock moved backwards: %v < %v", e.Now(), last)
+				}
+				last = e.Now()
+				if e.Pending() != e.liveSlots() {
+					t.Fatalf("Pending = %d, liveSlots = %d; every queued event holds one slot", e.Pending(), e.liveSlots())
+				}
 			}
 		}
 		e.Run()
-		check()
-		if e.liveSlots() != 0 {
-			t.Fatalf("liveSlots = %d after drain, want 0", e.liveSlots())
+		var want []refEvent
+		for _, r := range sched {
+			if !cancelled[r.idx] {
+				want = append(want, r)
+			}
 		}
-		if int(e.Recycled) != scheduled {
-			t.Fatalf("Recycled = %d, want %d (each scheduled event freed exactly once)", e.Recycled, scheduled)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
+		if len(fired) != len(want) {
+			t.Fatalf("fired %d, want %d (scheduled %d, cancelled %d)", len(fired), len(want), len(sched), len(cancelled))
 		}
-		if fired != scheduled-cancelled {
-			t.Fatalf("fired = %d, want %d (scheduled %d, cancelled %d)", fired, scheduled-cancelled, scheduled, cancelled)
+		for k := range want {
+			if fired[k] != want[k] {
+				t.Fatalf("fired[%d] = event %d at %v, want event %d at %v",
+					k, fired[k].idx, fired[k].at, want[k].idx, want[k].at)
+			}
+		}
+		if e.liveSlots() != 0 || e.Pending() != 0 {
+			t.Fatalf("liveSlots=%d Pending=%d after drain, want 0/0", e.liveSlots(), e.Pending())
+		}
+		if int(e.Recycled) != len(sched) {
+			t.Fatalf("Recycled = %d, want %d (each scheduled event freed exactly once)", e.Recycled, len(sched))
 		}
 	})
 }

@@ -9,13 +9,22 @@ import "math/bits"
 // sift per insert and, more importantly, stop inflating the heap that
 // every short-horizon event must sift through.
 //
-// Determinism is preserved by construction: the wheel never fires a
-// callback. Before the engine pops an event, prepare() flushes every
-// wheel slot that could contain an earlier-or-equal instant into the
-// heap, and the heap restores the exact (at, seq) total order. Two
-// events at the same instant therefore fire in scheduling order whether
-// they travelled through the wheel, the heap, or one of each — the same
-// order the heap-only engine produced.
+// Determinism is preserved by construction: the wheel only stages, and
+// never fires a callback. Before the engine fires an event, prepare()
+// flushes every wheel slot that could contain an earlier-or-equal
+// instant. A flushed level-0 slot is sorted by (at, seq) in place and
+// becomes the engine's run; the run head and the heap top together
+// decide firing order by (at, seq) alone. Two events at the same instant
+// therefore fire in scheduling order whether they travelled through the
+// wheel, the heap, the run, or a mix — the same order the heap-only
+// engine produced.
+//
+// Empty-run invariant: a slot flushes only when nothing pending is
+// earlier than its tick, and every run event lies in the tick of the
+// slot it came from, which is earlier. So the run is always empty when
+// the next slot flushes (flush panics otherwise), and the flushed slot
+// takes over the drained run's buffer in exchange: nothing is copied or
+// allocated.
 //
 // Geometry: three levels of 64 slots above a tick of 2^wheelTickShift
 // nanoseconds. Level l covers deltas of (64^l, 64^(l+1)] ticks; an event
@@ -51,9 +60,10 @@ const (
 // wheel is the per-engine timing-wheel state.
 type wheel struct {
 	// slot[l][s] holds the pending events hashed to slot s of level l,
-	// in arrival order (the heap re-establishes (at, seq) order on
-	// flush). Slices keep their capacity across flushes, so a slot that
-	// has reached its high-water mark schedules with zero allocation.
+	// in arrival order (flush sorts a level-0 slot by (at, seq)). Slices
+	// keep their capacity across flushes (a level-0 slot swaps buffers
+	// with the drained run), so once the buffers have reached their
+	// high-water mark scheduling allocates nothing.
 	slot [wheelLevels][wheelSlots][]event
 	// occ[l] has bit s set iff slot[l][s] is non-empty.
 	occ [wheelLevels]uint64
@@ -191,11 +201,44 @@ func (e *Engine) wheelScan() (lvl, slot int, lb int64) {
 	return lvl, slot, lb
 }
 
-// flush acts on scan's choice: a level-0 slot empties into the heap; a
-// higher-level slot cascades its window down, re-hashing each event by
-// its remaining delta. Either way the wheel clock advances to just
-// before the slot's window, so re-hashed events land strictly below
-// their old level and every skipped tick is provably empty.
+// runSortSlack and runSortMovesPerEvent cap sortRun's insertion work:
+// after the i-th event the moves so far may not exceed
+// slack + perEvent·i, so a slot costs at most linear work. Slots fill in
+// scheduling order and sort with 1.0–1.4 moves per event. Any slot of
+// up to 16 events sorts, even reversed, which still beats the heap; a
+// larger reversed or shuffled slot passes the cap within its first 16 to
+// 30 events and goes to the heap instead.
+const (
+	runSortSlack         = 64
+	runSortMovesPerEvent = 4
+)
+
+// sortRun insertion-sorts a level-0 slot by (at, seq). It gives up,
+// leaving evs permuted, and reports false once the moves pass the cap.
+func sortRun(evs []event) bool {
+	moves := 0
+	for i := 1; i < len(evs); i++ {
+		ev := evs[i]
+		j := i
+		for j > 0 && ev.before(evs[j-1]) {
+			evs[j] = evs[j-1]
+			j--
+		}
+		evs[j] = ev
+		moves += i - j
+		if moves > runSortSlack+runSortMovesPerEvent*i {
+			return false
+		}
+	}
+	return true
+}
+
+// flush acts on scan's choice: a level-0 slot becomes the run (or, if it
+// will not sort within the cap, empties into the heap); a higher-level
+// slot cascades its window down, re-hashing each event by its remaining
+// delta. Either way the wheel clock advances to just before the slot's
+// window, so re-hashed events land strictly below their old level and
+// every skipped tick is provably empty.
 //
 //ddvet:hotpath
 func (e *Engine) flush(lvl, slot int, lb int64) {
@@ -207,7 +250,15 @@ func (e *Engine) flush(lvl, slot int, lb int64) {
 	// re-inserts below refine the cache again.
 	e.wh.minTick = 0
 	if lvl == 0 {
+		if e.rh < len(e.run) {
+			panic("sim: wheel slot flushed before the run drained")
+		}
 		e.wh.cur = lb
+		if sortRun(evs) {
+			e.wh.slot[0][slot] = e.run[:0]
+			e.run, e.rh = evs, 0
+			return
+		}
 		for _, ev := range evs {
 			e.push(ev)
 		}
@@ -219,15 +270,15 @@ func (e *Engine) flush(lvl, slot int, lb int64) {
 	}
 }
 
-// prepare establishes the pop invariant: when it returns true, the heap
-// top is the globally earliest pending event. The wheel-empty case
-// inlines into Step/Run/RunUntil; with residents, one cached compare
-// usually settles it.
+// prepare establishes the fire invariant: when it returns true, the
+// earlier of the run head and the heap top is the globally earliest
+// pending event. The wheel-empty case inlines into Step/Run/RunUntil;
+// with residents, a pending run or one cached compare usually settles it.
 //
 //ddvet:hotpath
 func (e *Engine) prepare() bool {
 	if e.wh.count == 0 {
-		return len(e.events) > 0
+		return len(e.events) > 0 || e.rh < len(e.run)
 	}
 	return e.prepareWheel()
 }
@@ -240,6 +291,11 @@ func (e *Engine) prepare() bool {
 //ddvet:hotpath
 func (e *Engine) prepareWheel() bool {
 	for e.wh.count > 0 {
+		if e.rh < len(e.run) {
+			// Run events lie in the wheel clock's tick, before every
+			// wheel resident.
+			return true
+		}
 		if len(e.events) > 0 && e.wh.minTick > 0 &&
 			e.events[0].at < Time(e.wh.minTick<<wheelTickShift) {
 			return true
@@ -251,5 +307,5 @@ func (e *Engine) prepareWheel() bool {
 		}
 		e.flush(lvl, slot, lb)
 	}
-	return len(e.events) > 0
+	return len(e.events) > 0 || e.rh < len(e.run)
 }
