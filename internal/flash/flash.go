@@ -302,6 +302,14 @@ func (d *Device) SubmitPage(now sim.Time, page int64, op Op) sim.Time {
 	}
 }
 
+// busOf returns the channel bus of flat die index dieIdx.
+func (d *Device) busOf(dieIdx int) *sim.FIFORes {
+	if d.chipShift >= 0 {
+		return &d.channels[dieIdx>>d.chipShift]
+	}
+	return &d.channels[dieIdx/d.cfg.ChipsPerChannel]
+}
+
 // SubmitAtDie services one operation on an explicitly chosen die at instant
 // now and returns its completion instant. This is the FTL's entry point:
 // placement is the FTL's mapping decision, not the static interleave. Reads
@@ -310,13 +318,7 @@ func (d *Device) SubmitPage(now sim.Time, page int64, op Op) sim.Time {
 //
 //ddvet:hotpath
 func (d *Device) SubmitAtDie(now sim.Time, dieIdx int, op Op) sim.Time {
-	die := &d.chips[dieIdx]
-	var bus *sim.FIFORes
-	if d.chipShift >= 0 {
-		bus = &d.channels[dieIdx>>d.chipShift]
-	} else {
-		bus = &d.channels[dieIdx/d.cfg.ChipsPerChannel]
-	}
+	die, bus := &d.chips[dieIdx], d.busOf(dieIdx)
 	switch op {
 	case Read:
 		d.stats.PagesRead++
@@ -337,6 +339,30 @@ func (d *Device) SubmitAtDie(now sim.Time, dieIdx int, op Op) sim.Time {
 	default:
 		panic(fmt.Sprintf("flash: unknown op %d", op)) //lint:ddvet:allow hotpathalloc cold panic path
 	}
+}
+
+// RelocateAtDie services pages read→program pairs on one die at instant now,
+// a GC relocation step, and returns the completion instant of the last
+// program (now when pages is 0). Each pair acquires die and bus exactly as
+// SubmitAtDie(Read) followed by SubmitAtDie(Program) would, pair after
+// pair, so the instants are those of the per-page calls; one call per step
+// saves two non-inlined calls per moved page.
+//
+//ddvet:hotpath
+func (d *Device) RelocateAtDie(now sim.Time, dieIdx, pages int) sim.Time {
+	die, bus := &d.chips[dieIdx], d.busOf(dieIdx)
+	rd, xf, pg := d.cfg.ReadLatency, d.cfg.XferLatency, d.cfg.ProgramLatency
+	d.stats.PagesRead += uint64(pages)
+	d.stats.PagesWritten += uint64(pages)
+	done := now
+	for i := 0; i < pages; i++ {
+		grant, _ := die.Acquire(now, rd)
+		bus.Acquire(grant.Add(rd), xf)
+		busGrant, _ := bus.Acquire(now, xf)
+		grant, _ = die.Acquire(busGrant.Add(xf), pg)
+		done = grant.Add(pg)
+	}
+	return done
 }
 
 // SubmitIO services the byte range [offset, offset+size) at instant now and

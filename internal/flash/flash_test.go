@@ -214,3 +214,56 @@ func TestZeroSizeIO(t *testing.T) {
 		t.Fatalf("zero-size IO done at %v, want 42 (immediate)", done)
 	}
 }
+
+// TestRelocateAtDieMatchesPerPagePairs checks the batched GC relocation
+// call against the per-page calls it replaces: from random die and bus
+// pre-states, RelocateAtDie(now, die, n) must return the last of the
+// completions of n SubmitAtDie(Read)+SubmitAtDie(Program) pairs (now when
+// n is 0) and leave every die, bus and counter as they do. The second
+// geometry has a non-power-of-two chip count, so the bus index divides.
+func TestRelocateAtDieMatchesPerPagePairs(t *testing.T) {
+	odd := smallConfig()
+	odd.ChipsPerChannel = 3
+	for _, cfg := range []Config{smallConfig(), odd} {
+		cfg.EraseLatency = 2 * sim.Millisecond
+		rng := sim.NewRand(11)
+		for trial := 0; trial < 300; trial++ {
+			batched, paired := New(cfg), New(cfg)
+			// The same random history on both: any op on any die, at
+			// instants spread over a few program times.
+			for i := rng.Intn(40); i > 0; i-- {
+				at := sim.Time(rng.Int63n(int64(3 * sim.Millisecond)))
+				die, op := rng.Intn(batched.NumChips()), Op(rng.Intn(3))
+				batched.SubmitAtDie(at, die, op)
+				paired.SubmitAtDie(at, die, op)
+			}
+			now := sim.Time(rng.Int63n(int64(2 * sim.Millisecond)))
+			die, n := rng.Intn(batched.NumChips()), rng.Intn(10)
+			got := batched.RelocateAtDie(now, die, n)
+			want := now
+			for i := 0; i < n; i++ {
+				paired.SubmitAtDie(now, die, Read)
+				if t := paired.SubmitAtDie(now, die, Program); t > want {
+					want = t
+				}
+			}
+			if got != want {
+				t.Fatalf("chips/ch %d trial %d: RelocateAtDie(%v, die %d, %d) = %v, per-page pairs finish at %v",
+					cfg.ChipsPerChannel, trial, now, die, n, got, want)
+			}
+			for i := range batched.chips {
+				if a, b := batched.chips[i].FreeAt(), paired.chips[i].FreeAt(); a != b {
+					t.Fatalf("chips/ch %d trial %d: die %d free at %v, per-page pairs leave %v", cfg.ChipsPerChannel, trial, i, a, b)
+				}
+			}
+			for i := range batched.channels {
+				if a, b := batched.channels[i].FreeAt(), paired.channels[i].FreeAt(); a != b {
+					t.Fatalf("chips/ch %d trial %d: bus %d free at %v, per-page pairs leave %v", cfg.ChipsPerChannel, trial, i, a, b)
+				}
+			}
+			if a, b := batched.Stats(), paired.Stats(); a != b {
+				t.Fatalf("chips/ch %d trial %d: stats %+v, per-page pairs count %+v", cfg.ChipsPerChannel, trial, a, b)
+			}
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"daredevil/internal/fault"
 	"daredevil/internal/flash"
@@ -231,10 +232,8 @@ type dieState struct {
 
 	retired int // blocks taken out of service on this die (grown bad)
 
-	// dev and idx let a die stand as the argument of its own TRIM wake;
-	// trimMark is the number of the last Trim that listed it for one.
-	dev      *Device
-	idx      int
+	// trimMark is the number of the last Trim that listed the die in its
+	// wake batch.
 	trimMark uint64
 }
 
@@ -295,11 +294,14 @@ type Device struct {
 	freeConts []*gcCont
 	contSlab  []gcCont
 	conts     int
-	// wake is Trim's reusable list of dies to wake, in the order the
-	// range first touched them (at most one entry per die); trims numbers
-	// the Trim calls, so a die's trimMark says whether it is listed.
-	wake  []int
-	trims uint64
+	// wakeQ is the TRIM wake FIFO. Each Trim that invalidated pages
+	// appends one batch, the dies it touched in first-touch order (at most
+	// one entry per die) closed by wakeEnd, and schedules one trimWake,
+	// which drains the oldest batch from wakeHead. trims numbers the Trim
+	// calls, so a die's trimMark says whether the current batch lists it.
+	wakeQ    []int32
+	wakeHead int
+	trims    uint64
 
 	allocRR int // host-allocation die cursor
 	// inj, when attached, injects program failures that grow bad blocks.
@@ -358,10 +360,9 @@ func New(eng *sim.Engine, media *flash.Device, cfg Config) *Device {
 	d.live = make([]uint64, (d.physPages+63)/64)
 	d.blocks = make([]blockMeta, d.numDies*cfg.BlocksPerDie)
 	d.dies = make([]dieState, d.numDies)
-	d.wake = make([]int, d.numDies)
+	d.wakeQ = make([]int32, 0, d.numDies+1)
 	for i := range d.dies {
 		die := &d.dies[i]
-		die.dev, die.idx = d, i
 		die.active = -1
 		die.gcActive = -1
 		die.gcVictim = -1
@@ -602,17 +603,23 @@ func (d *Device) failProgram(now sim.Time, die int) {
 
 // Trim deallocates the byte range: every mapped page in it becomes invalid
 // in its physical block without any media work — the NVMe Deallocate (TRIM)
-// semantics that let GC skip dead data. Dies that gained invalidity get
-// their GC woken on a deferred event, not inline: the Deallocate itself
-// completes without touching the media. The wakes are scheduled in the
-// order the range first touched each die.
+// semantics that let GC skip dead data. The Deallocate itself completes
+// without touching the media; the dies that gained invalidity get their GC
+// woken on one deferred event at the current instant (trimWake), in the
+// order the range first touched each die. The dies go into the device's
+// wake FIFO as one batch, so a Deallocate costs one event however many dies
+// it spans.
 //
 //ddvet:hotpath
 func (d *Device) Trim(offset, size int64) int {
 	n := d.media.Pages(offset, size)
 	trimmed := 0
-	woken := 0
 	d.trims++
+	// Room for every die plus the end marker, so the loop stores by index;
+	// the FIFO empties every instant, so this grows only while warming up.
+	start := len(d.wakeQ)
+	q := slices.Grow(d.wakeQ, d.numDies+1)[:start+d.numDies+1]
+	end := start
 	lp := d.logicalPage(offset)
 	for i := 0; i < n; i++ {
 		if pp := d.l2p[lp]; pp >= 0 {
@@ -622,27 +629,49 @@ func (d *Device) Trim(offset, size int64) int {
 			trimmed++
 			if ds := &d.dies[die]; ds.trimMark != d.trims {
 				ds.trimMark = d.trims
-				d.wake[woken] = die
-				woken++
+				q[end] = int32(die)
+				end++
 			}
 		}
 		if lp++; lp == d.logPages {
 			lp = 0
 		}
 	}
-	for _, die := range d.wake[:woken] {
-		d.eng.AtArg(d.eng.Now(), trimWake, &d.dies[die])
+	if end > start {
+		q[end] = wakeEnd
+		end++
+		d.eng.AtArg(d.eng.Now(), trimWake, d)
 	}
+	d.wakeQ = q[:end]
 	d.st.TrimmedPages += uint64(trimmed)
 	return trimmed
 }
 
-// trimWake is a TRIM's deferred GC wake-up on one die.
+// wakeEnd closes a Trim's batch in the wake FIFO.
+const wakeEnd = -1
+
+// trimWake is a TRIM's deferred GC wake-up: it pops the oldest batch of the
+// wake FIFO and runs maybeGC on each of its dies in first-touch order. That
+// is exactly one wake event per die at consecutive seqs of this instant:
+// nothing could fire between those, and whatever maybeGC schedules gets a
+// later seq either way. Wakes are only scheduled at the current instant, so
+// they fire in the order their Trims ran, and draining strictly one batch
+// per wake, oldest first, keeps two Deallocates at one instant apart.
 //
 //ddvet:hotpath
 func trimWake(arg any) {
-	ds := arg.(*dieState)
-	ds.dev.maybeGC(ds.idx)
+	d := arg.(*Device)
+	for {
+		die := d.wakeQ[d.wakeHead]
+		d.wakeHead++
+		if die == wakeEnd {
+			break
+		}
+		d.maybeGC(int(die))
+	}
+	if d.wakeHead == len(d.wakeQ) {
+		d.wakeQ, d.wakeHead = d.wakeQ[:0], 0
+	}
 }
 
 // nextDie is the die after die in round-robin order.
@@ -829,7 +858,9 @@ func gcRoundWake(arg any) {
 }
 
 // allocCont takes a GC continuation record from the free list, carving a
-// new chunk when it is empty.
+// new chunk when it is empty. A record's device is set once, when it is
+// carved: the pool is per device, so reuse rewrites only the scalar fields
+// (storing the pointer again would cost a write barrier per GC step).
 func (d *Device) allocCont(die int, gen uint64, victim int) *gcCont {
 	var c *gcCont
 	if n := len(d.freeConts); n > 0 {
@@ -842,8 +873,9 @@ func (d *Device) allocCont(die int, gen uint64, victim int) *gcCont {
 		c = &d.contSlab[0]
 		d.contSlab = d.contSlab[1:]
 		d.conts++
+		c.d = d
 	}
-	*c = gcCont{d: d, die: die, gen: gen, victim: victim, live: true}
+	c.die, c.gen, c.victim, c.live = die, gen, victim, true
 	return c
 }
 
@@ -857,10 +889,14 @@ func (d *Device) freeCont(c *gcCont) {
 }
 
 // relocate moves up to limit valid pages of the victim block (from the
-// round's scan cursor) to freshly allocated pages on the same die, issuing
-// the read/program work into the die FIFO. It advances the cursor past the
-// last page moved (to the block's end once no valid page is left) and
-// returns the completion instant of the last program (now if none moved).
+// round's scan cursor) to freshly allocated pages on the same die. It makes
+// the step's mapping updates first and then issues the step's read→program
+// pairs into the die FIFO in one media call (flash.RelocateAtDie), which
+// acquires die and bus in the same order per-page reads and programs would:
+// allocation touches no media state, so the split moves no instant. It
+// advances the cursor past the last page moved (to the block's end once no
+// valid page is left) and returns the completion instant of the last
+// program (now if none moved).
 //
 //ddvet:hotpath
 func (d *Device) relocate(die, victim, limit int) sim.Time {
@@ -870,27 +906,22 @@ func (d *Device) relocate(die, victim, limit int) sim.Time {
 	base := int32(vblk * d.ppb)
 	end := base + int32(d.ppb)
 	moved := 0
-	batchDone := now
 	pp := base + int32(ds.gcScan)
 	for moved < limit {
 		if pp = d.nextLive(pp, end); pp == end {
 			break
 		}
-		d.media.SubmitAtDie(now, die, flash.Read)
 		dest, blk := d.allocPage(die, now, true)
 		d.clearLive(pp)
-		d.blocks[vblk].valid--
 		d.mapPage(d.p2l[pp], dest, blk)
-		if t := d.media.SubmitAtDie(now, die, flash.Program); t > batchDone {
-			batchDone = t
-		}
-		d.st.GCPagesMoved++
-		d.st.FlashPagesWritten++
 		moved++
 		pp++
 	}
 	ds.gcScan = int(pp - base)
-	return batchDone
+	d.blocks[vblk].valid -= int32(moved)
+	d.st.GCPagesMoved += uint64(moved)
+	d.st.FlashPagesWritten += uint64(moved)
+	return d.media.RelocateAtDie(now, die, moved)
 }
 
 // gcFinishRound erases the fully relocated victim, records the round's
@@ -1172,7 +1203,7 @@ func (d *Device) setLiveRange(from, to int32) {
 // never taken for a valid one), per-block valid counts match the bitmap,
 // free blocks are empty, and no die's free pool is negative or over
 // capacity. Once the engine has drained, every GC continuation record must
-// be back in the pool.
+// be back in the pool and every TRIM wake batch drained.
 func (d *Device) CheckInvariants() error {
 	mappedL := 0
 	for lp, pp := range d.l2p {
@@ -1215,6 +1246,10 @@ func (d *Device) CheckInvariants() error {
 	if d.eng.Pending() == 0 && len(d.freeConts) != d.conts {
 		return fmt.Errorf("engine drained but %d of %d GC continuation records are outside the pool",
 			d.conts-len(d.freeConts), d.conts)
+	}
+	if d.eng.Pending() == 0 && d.wakeHead != len(d.wakeQ) {
+		return fmt.Errorf("engine drained but the TRIM wake FIFO holds %d undrained entries",
+			len(d.wakeQ)-d.wakeHead)
 	}
 	for _, c := range d.freeConts {
 		if c.live {

@@ -1,6 +1,9 @@
 package nvme
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Arbitration selects the controller's command arbitration mechanism. The
 // paper assumes the default round-robin "for generalizability" (§2.1); the
@@ -28,6 +31,8 @@ const (
 	ClassHigh
 	ClassMedium
 	ClassLow
+	// numClasses sizes the per-class arbitration state.
+	numClasses = iota
 )
 
 // String names the class.
@@ -63,8 +68,14 @@ func (w WRRWeights) validate() error {
 }
 
 // SetClass assigns the NSQ's WRR class (ignored under round-robin
-// arbitration).
-func (q *NSQ) SetClass(c QueueClass) { q.class = c }
+// arbitration). A queue with visible entries moves its ready bit to the
+// new class.
+func (q *NSQ) SetClass(c QueueClass) {
+	ready := q.visible > 0
+	q.dev.setReady(q, false)
+	q.class = c
+	q.dev.setReady(q, ready)
+}
 
 // Class reports the NSQ's WRR class.
 func (q *NSQ) Class() QueueClass { return q.class }
@@ -105,16 +116,61 @@ func (d *Device) weightOf(c QueueClass) int {
 }
 
 // scanClass returns the next NSQ of the class with visible entries,
-// round-robin within the class.
+// round-robin within the class: the class's ready bitmap searched from the
+// bit after the class's last pick, wrapping.
+//
+//ddvet:hotpath
 func (d *Device) scanClass(c QueueClass) *NSQ {
-	n := len(d.nsqs)
-	cursor := d.classRR[c]
-	for i := 1; i <= n; i++ {
-		q := d.nsqs[(cursor+i)%n]
-		if q.class == c && q.visible > 0 {
-			d.classRR[c] = q.ID
-			return q
+	i := nextReady(d.classReady[c], d.classRR[c]+1)
+	if i < 0 {
+		return nil
+	}
+	d.classRR[c] = i
+	return d.nsqs[i]
+}
+
+// setReady sets or clears q's bit in the ready bitmap and its class's.
+//
+//ddvet:hotpath
+func (d *Device) setReady(q *NSQ, on bool) {
+	w, bit := q.ID>>6, uint64(1)<<(q.ID&63)
+	if on {
+		d.ready[w] |= bit
+		d.classReady[q.class][w] |= bit
+	} else {
+		d.ready[w] &^= bit
+		d.classReady[q.class][w] &^= bit
+	}
+}
+
+// nextReady returns the index of mask's first set bit in cyclic order
+// starting at bit from (0 ≤ from ≤ 64·len(mask)), or -1 when no bit is
+// set. Bits past the last NSQ are never set, so a one-word mask is searched
+// with a rotate whatever the queue count.
+func nextReady(mask []uint64, from int) int {
+	if len(mask) == 1 {
+		m := mask[0]
+		if m == 0 {
+			return -1
+		}
+		return (from + bits.TrailingZeros64(bits.RotateLeft64(m, -from))) & 63
+	}
+	w := from >> 6
+	if w == len(mask) {
+		w, from = 0, 0
+	}
+	if m := mask[w] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	// The remaining words in order, wrapping, and last the start word's
+	// bits below from (its bits at or above from were just found clear).
+	for range mask {
+		if w++; w == len(mask) {
+			w = 0
+		}
+		if m := mask[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
 		}
 	}
-	return nil
+	return -1
 }

@@ -298,8 +298,15 @@ type Device struct {
 	fetchDone func() // fetch-completion continuation (fetchBusy serializes it)
 	wrrClass  int
 	wrrCredit int
-	classRR   map[QueueClass]int
-	errRNG    *sim.Rand
+	classRR   [numClasses]int
+	// ready holds one bit per NSQ with visible entries, and classReady the
+	// same bits split by WRR class, so arbitration finds the next queue with
+	// a trailing-zeros search instead of probing every NSQ. ringNow and
+	// finishFetch keep them in step with NSQ.visible, SetClass moves a bit
+	// between classes, and a controller reset clears them.
+	ready      []uint64
+	classReady [numClasses][]uint64
+	errRNG     *sim.Rand
 
 	// freeCmds recycles command objects so the steady-state submission path
 	// does not allocate; cmdSlab is the current carve chunk the free-list
@@ -383,7 +390,13 @@ func New(eng *sim.Engine, pool *cpus.Pool, cfg Config) *Device {
 		}
 	}
 	d := &Device{cfg: cfg, eng: eng, pool: pool, media: flash.New(cfg.Flash),
-		classRR: map[QueueClass]int{}, errRNG: sim.NewRand(cfg.ErrorSeed + 0x5eed)}
+		errRNG: sim.NewRand(cfg.ErrorSeed + 0x5eed)}
+	words := (cfg.NumNSQ + 63) / 64
+	masks := make([]uint64, (numClasses+1)*words)
+	d.ready = masks[:words:words]
+	for c := range d.classReady {
+		d.classReady[c] = masks[(c+1)*words : (c+2)*words : (c+2)*words]
+	}
 	d.wrrCredit = cfg.WRR.High
 	d.fetchDone = d.finishFetch
 	d.flashDoneFn = func(a any) { a.(*command).flashDone() }
@@ -610,6 +623,7 @@ func (d *Device) maybeUnpark(c *command) {
 //ddvet:hotpath
 func (q *NSQ) ringNow() {
 	q.visible = q.Len()
+	q.dev.setReady(q, q.visible > 0)
 	q.dev.maybeFetch()
 }
 
@@ -682,7 +696,9 @@ func (d *Device) finishFetch() {
 		q.entries = append(q.entries[:0], q.entries[q.head:]...)
 		q.head = 0
 	}
-	q.visible--
+	if q.visible--; q.visible == 0 {
+		d.setReady(q, false)
+	}
 	q.Fetched++
 	d.inflight++
 	q.ncq.InFlight++
@@ -702,18 +718,19 @@ func (d *Device) finishFetch() {
 	d.maybeFetch()
 }
 
-// nextRR returns the next NSQ with visible entries, scanning round-robin
-// from the last position (the NVMe default arbitration the paper assumes).
+// nextRR returns the next NSQ with visible entries in round-robin order
+// from the last one served (the NVMe default arbitration the paper
+// assumes): the ready bitmap's first set bit at or after rr+1, wrapping, so
+// the last queue served comes last.
+//
+//ddvet:hotpath
 func (d *Device) nextRR() *NSQ {
-	n := len(d.nsqs)
-	for i := 1; i <= n; i++ {
-		q := d.nsqs[(d.rr+i)%n]
-		if q.visible > 0 {
-			d.rr = q.ID
-			return q
-		}
+	i := nextReady(d.ready, d.rr+1)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	d.rr = i
+	return d.nsqs[i]
 }
 
 // dispatchToFlash decomposes the command into page operations and schedules

@@ -249,6 +249,10 @@ func (d *Device) controllerReset() {
 		q.head = 0
 		q.visible = 0
 	}
+	clear(d.ready)
+	for _, m := range d.classReady {
+		clear(m)
+	}
 	// In-flight commands (fetched, no CQE processed) are enumerated by the
 	// expiry FIFO — every fetched command is registered there while
 	// CmdTimeout > 0, and controllerReset is only reachable through a
