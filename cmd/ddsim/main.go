@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -20,43 +22,66 @@ import (
 )
 
 func main() {
-	stack := flag.String("stack", "daredevil", "storage stack: vanilla | blk-switch | static-part | dare-base | dare-sched | daredevil")
-	compare := flag.Bool("compare", false, "run the scenario on every stack concurrently and print a comparison (ignores -stack, -breakdown, -trace, -obs-window-us)")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulations with -compare")
-	cores := flag.Int("cores", 4, "CPU cores")
-	nL := flag.Int("l", 4, "L-tenants (4KB rand qd=1, real-time ionice)")
-	nT := flag.Int("t", 8, "T-tenants (128KB qd=32, best-effort ionice)")
-	namespaces := flag.Int("namespaces", 1, "NVMe namespaces (tenants spread round-robin)")
-	workstation := flag.Bool("wsm", false, "use the WS-M testbed (8 cores, 128 NSQs / 24 NCQs)")
-	warmup := flag.Duration("warmup", 100*time.Millisecond, "warmup window (virtual)")
-	measure := flag.Duration("measure", 400*time.Millisecond, "measurement window (virtual)")
-	breakdown := flag.Bool("breakdown", false, "report L-tenant path components (lock wait, completion delay, cross-core)")
-	tracePath := flag.String("trace", "", "write request lifecycle spans as Chrome trace-event JSON to this file (open at ui.perfetto.dev)")
-	traceLimit := flag.Int("trace-limit", 0, "cap the spans captured with -trace (0 = default budget)")
-	obsWindowUs := flag.Int("obs-window-us", 0, "sample queue/CPU/FTL/recovery gauges every N virtual microseconds and print the CSV after the summary")
-	profPath := flag.String("prof", "", "profile every request's virtual time by stack layer: print the breakdown table and host self-profile, write the mergeable profile JSON to this file")
-	config := flag.String("config", "", "run a JSON scenario file instead of the flag-built mix")
-	seed := flag.Uint64("seed", 0, "shift every tenant's random stream (0 = default streams)")
-	errorRate := flag.Float64("error-rate", 0, "inject per-command media errors with this probability (controller retries up to 3x)")
-	useFTL := flag.Bool("ftl", false, "run on an aged device with the page-mapped FTL (garbage collection, wear leveling)")
-	opPct := flag.Float64("op", 7, "FTL over-provisioning percent (with -ftl)")
-	trimEvery := flag.Int("trim", 0, "replace every Nth T-tenant request with an NVMe Deallocate (TRIM); 0 disables")
-	faultProfile := flag.String("fault", "", "inject faults: brownout | lossy | wearout (window covers the 2nd quarter of -measure; arms host timeout/abort/reset recovery; wearout grows bad blocks only with -ftl)")
-	faultSeed := flag.Uint64("fault-seed", 42, "seed for the dedicated fault RNG stream (with -fault)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "ddsim:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError marks a bad invocation (exit status 2); every other error is a
+// failed run (exit status 1).
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// run parses args and runs the scenario they describe, printing the report
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	flags := flag.NewFlagSet("ddsim", flag.ContinueOnError)
+	stack := flags.String("stack", "daredevil", "storage stack: vanilla | blk-switch | static-part | dare-base | dare-sched | daredevil")
+	compare := flags.Bool("compare", false, "run the scenario on every stack concurrently and print a comparison (ignores -stack, -breakdown, -trace, -obs-window-us)")
+	jobs := flags.Int("j", runtime.GOMAXPROCS(0), "parallel simulations with -compare")
+	cores := flags.Int("cores", 4, "CPU cores")
+	nL := flags.Int("l", 4, "L-tenants (4KB rand qd=1, real-time ionice)")
+	nT := flags.Int("t", 8, "T-tenants (128KB qd=32, best-effort ionice)")
+	namespaces := flags.Int("namespaces", 1, "NVMe namespaces (tenants spread round-robin)")
+	workstation := flags.Bool("wsm", false, "use the WS-M testbed (8 cores, 128 NSQs / 24 NCQs)")
+	warmup := flags.Duration("warmup", 100*time.Millisecond, "warmup window (virtual)")
+	measure := flags.Duration("measure", 400*time.Millisecond, "measurement window (virtual)")
+	breakdown := flags.Bool("breakdown", false, "report L-tenant path components (lock wait, completion delay, cross-core)")
+	tracePath := flags.String("trace", "", "write request lifecycle spans as Chrome trace-event JSON to this file (open at ui.perfetto.dev)")
+	traceLimit := flags.Int("trace-limit", 0, "cap the spans captured with -trace (0 = default budget)")
+	obsWindowUs := flags.Int("obs-window-us", 0, "sample queue/CPU/FTL/recovery gauges every N virtual microseconds and print the CSV after the summary")
+	profPath := flags.String("prof", "", "profile every request's virtual time by stack layer: print the breakdown table and host self-profile, write the mergeable profile JSON to this file")
+	config := flags.String("config", "", "run a JSON scenario file instead of the flag-built mix")
+	seed := flags.Uint64("seed", 0, "shift every tenant's random stream (0 = default streams)")
+	errorRate := flags.Float64("error-rate", 0, "inject per-command media errors with this probability (controller retries up to 3x)")
+	useFTL := flags.Bool("ftl", false, "run on an aged device with the page-mapped FTL (garbage collection, wear leveling)")
+	opPct := flags.Float64("op", 7, "FTL over-provisioning percent (with -ftl)")
+	trimEvery := flags.Int("trim", 0, "replace every Nth T-tenant request with an NVMe Deallocate (TRIM); 0 disables")
+	faultProfile := flags.String("fault", "", "inject faults: brownout | lossy | wearout (window covers the 2nd quarter of -measure; arms host timeout/abort/reset recovery; wearout grows bad blocks only with -ftl)")
+	faultSeed := flags.Uint64("fault-seed", 42, "seed for the dedicated fault RNG stream (with -fault)")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
 
 	if *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "ddsim: -j must be at least 1 (got %d)\n", *jobs)
-		os.Exit(2)
+		return usagef("-j must be at least 1 (got %d)", *jobs)
 	}
 	daredevil.SetParallelism(*jobs)
 
 	if *config != "" {
-		if err := runConfig(*config, *breakdown, *tracePath, *traceLimit, *obsWindowUs, *profPath); err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(1)
-		}
-		return
+		return runConfig(stdout, *config, *breakdown, *tracePath, *traceLimit, *obsWindowUs, *profPath)
 	}
 
 	warm := daredevil.Duration(warmup.Nanoseconds())
@@ -75,8 +100,7 @@ func main() {
 		fcfg := daredevil.DefaultFTLConfig()
 		fcfg.OPPct = *opPct
 		if err := fcfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "ddsim:", err)
-			os.Exit(2)
+			return usageError{err}
 		}
 		m.FTL = &fcfg
 	}
@@ -84,8 +108,7 @@ func main() {
 		switch daredevil.FaultProfile(*faultProfile) {
 		case daredevil.FaultBrownout, daredevil.FaultLossy, daredevil.FaultWearout:
 		default:
-			fmt.Fprintf(os.Stderr, "ddsim: unknown fault profile %q (want brownout, lossy, or wearout)\n", *faultProfile)
-			os.Exit(2)
+			return usagef("unknown fault profile %q (want brownout, lossy, or wearout)", *faultProfile)
 		}
 		fs := daredevil.DefaultFaultSchedule(daredevil.FaultProfile(*faultProfile), *faultSeed, warm, meas)
 		m.Fault = &fs
@@ -120,14 +143,13 @@ func main() {
 	}
 
 	if *compare {
-		runCompare(build, warm, meas, *nL, *nT, m.Cores, *namespaces, *measure)
-		return
+		runCompare(stdout, build, warm, meas, *nL, *nT, m.Cores, *namespaces, *measure)
+		return nil
 	}
 
 	kind, err := parseStack(*stack)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	sim := build(kind)
@@ -145,27 +167,24 @@ func main() {
 	}
 
 	res := sim.Run(warm, meas)
-	fmt.Printf("stack=%s cores=%d L=%d T=%d namespaces=%d (measured %v virtual)\n",
+	fmt.Fprintf(stdout, "stack=%s cores=%d L=%d T=%d namespaces=%d (measured %v virtual)\n",
 		sim.StackName(), m.Cores, *nL, *nT, *namespaces, *measure)
-	fmt.Printf("  L-tenants: avg=%v p99=%v p99.9=%v max=%v (%.2f kIOPS, %d ops)\n",
+	fmt.Fprintf(stdout, "  L-tenants: avg=%v p99=%v p99.9=%v max=%v (%.2f kIOPS, %d ops)\n",
 		res.LTenantLatency.Mean, res.LTenantLatency.P99, res.LTenantLatency.P999,
 		res.LTenantLatency.Max, res.LTenantKIOPS, res.LTenantLatency.Count)
-	fmt.Printf("  T-tenants: avg=%v p99=%v (%.0f MB/s, %d ops)\n",
+	fmt.Fprintf(stdout, "  T-tenants: avg=%v p99=%v (%.0f MB/s, %d ops)\n",
 		res.TTenantLatency.Mean, res.TTenantLatency.P99,
 		res.TThroughputMBps, res.TTenantLatency.Count)
-	fmt.Printf("  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
-	printFTL(res)
-	printRecovery(res)
+	fmt.Fprintf(stdout, "  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
+	printFTL(stdout, res)
+	printRecovery(stdout, res)
 	if *breakdown {
-		fmt.Printf("  L path components: lock-wait avg=%v p99=%v | completion-delay avg=%v p99=%v | cross-core %.0f%%\n",
+		fmt.Fprintf(stdout, "  L path components: lock-wait avg=%v p99=%v | completion-delay avg=%v p99=%v | cross-core %.0f%%\n",
 			res.LSubmissionWait.Mean, res.LSubmissionWait.P99,
 			res.LCompletionDelay.Mean, res.LCompletionDelay.P99,
 			100*res.LCrossCoreFraction)
 	}
-	if err := writeObsOutputs(sim, *tracePath, *obsWindowUs > 0, *profPath); err != nil {
-		fmt.Fprintln(os.Stderr, "ddsim:", err)
-		os.Exit(1)
-	}
+	return writeObsOutputs(stdout, sim, *tracePath, *obsWindowUs > 0, *profPath)
 }
 
 // writeObsOutputs emits whatever observability surfaces the run armed: the
@@ -173,14 +192,14 @@ func main() {
 // layer-latency breakdown + self-profile (with the profile JSON to
 // profPath), and — whenever host recovery escalated — the flight-recorder
 // dumps.
-func writeObsOutputs(sim *daredevil.Simulation, tracePath string, metrics bool, profPath string) error {
+func writeObsOutputs(w io.Writer, sim *daredevil.Simulation, tracePath string, metrics bool, profPath string) error {
 	if profPath != "" {
-		fmt.Println()
-		if err := sim.WriteProfile(os.Stdout); err != nil {
+		fmt.Fprintln(w)
+		if err := sim.WriteProfile(w); err != nil {
 			return err
 		}
-		fmt.Println()
-		if err := sim.WriteSelfProfile(os.Stdout); err != nil {
+		fmt.Fprintln(w)
+		if err := sim.WriteSelfProfile(w); err != nil {
 			return err
 		}
 		f, err := os.Create(profPath)
@@ -194,7 +213,7 @@ func writeObsOutputs(sim *daredevil.Simulation, tracePath string, metrics bool, 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("  profile: wrote %s (merge with other runs via prof.Merge)\n", profPath)
+		fmt.Fprintf(w, "  profile: wrote %s (merge with other runs via prof.Merge)\n", profPath)
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -208,17 +227,17 @@ func writeObsOutputs(sim *daredevil.Simulation, tracePath string, metrics bool, 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("  trace: wrote %s (open at ui.perfetto.dev)\n", tracePath)
+		fmt.Fprintf(w, "  trace: wrote %s (open at ui.perfetto.dev)\n", tracePath)
 	}
 	if metrics {
-		fmt.Println()
-		if err := sim.WriteMetricsCSV(os.Stdout); err != nil {
+		fmt.Fprintln(w)
+		if err := sim.WriteMetricsCSV(w); err != nil {
 			return err
 		}
 	}
 	if sim.FlightDumps() > 0 {
-		fmt.Println()
-		if err := sim.WriteFlight(os.Stdout); err != nil {
+		fmt.Fprintln(w)
+		if err := sim.WriteFlight(w); err != nil {
 			return err
 		}
 	}
@@ -234,18 +253,18 @@ var allStacks = []daredevil.StackKind{
 // runCompare runs the flag-built scenario on every stack via the harness
 // worker pool and prints one summary line per stack. Each stack gets its
 // own freshly built simulation, so the concurrent runs cannot interact.
-func runCompare(build func(daredevil.StackKind) *daredevil.Simulation,
+func runCompare(w io.Writer, build func(daredevil.StackKind) *daredevil.Simulation,
 	warm, meas daredevil.Duration, nL, nT, cores, namespaces int, measured time.Duration) {
 	results := daredevil.CompareStacks(allStacks, func(kind daredevil.StackKind) daredevil.Result {
 		return build(kind).Run(warm, meas)
 	})
-	fmt.Printf("comparison: cores=%d L=%d T=%d namespaces=%d -j %d (measured %v virtual)\n",
+	fmt.Fprintf(w, "comparison: cores=%d L=%d T=%d namespaces=%d -j %d (measured %v virtual)\n",
 		cores, nL, nT, namespaces, daredevil.Parallelism(), measured)
-	fmt.Printf("  %-12s %12s %12s %12s %10s %10s %8s\n",
+	fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s %8s\n",
 		"stack", "L avg", "L p99", "L p99.9", "L kIOPS", "T MB/s", "CPU")
 	for i, kind := range allStacks {
 		r := results[i]
-		fmt.Printf("  %-12s %12v %12v %12v %10.2f %10.0f %7.1f%%\n",
+		fmt.Fprintf(w, "  %-12s %12v %12v %12v %10.2f %10.0f %7.1f%%\n",
 			string(kind), r.LTenantLatency.Mean, r.LTenantLatency.P99,
 			r.LTenantLatency.P999, r.LTenantKIOPS, r.TThroughputMBps,
 			100*r.CPUUtilization)
@@ -257,7 +276,7 @@ func runCompare(build func(daredevil.StackKind) *daredevil.Simulation,
 // and the -trace / -trace-limit / -obs-window-us flags add to or override
 // them (the flag path wins for the trace output file; a scenario that set
 // "trace": true without a -trace flag writes next to the scenario file).
-func runConfig(path string, breakdown bool, tracePath string, traceLimit, obsWindowUs int, profPath string) error {
+func runConfig(w io.Writer, path string, breakdown bool, tracePath string, traceLimit, obsWindowUs int, profPath string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -288,48 +307,48 @@ func runConfig(path string, breakdown bool, tracePath string, traceLimit, obsWin
 	}
 	metrics := obsWindowUs > 0 || sc.ObsWindowUs > 0
 	res := sim.Run(warm, measure)
-	fmt.Printf("scenario %s: stack=%s (measured %v virtual)\n", path, sim.StackName(), measure)
-	fmt.Printf("  L-tenants: avg=%v p99=%v p99.9=%v (%.2f kIOPS, %d ops)\n",
+	fmt.Fprintf(w, "scenario %s: stack=%s (measured %v virtual)\n", path, sim.StackName(), measure)
+	fmt.Fprintf(w, "  L-tenants: avg=%v p99=%v p99.9=%v (%.2f kIOPS, %d ops)\n",
 		res.LTenantLatency.Mean, res.LTenantLatency.P99, res.LTenantLatency.P999,
 		res.LTenantKIOPS, res.LTenantLatency.Count)
-	fmt.Printf("  T-tenants: avg=%v p99=%v (%.0f MB/s, %d ops)\n",
+	fmt.Fprintf(w, "  T-tenants: avg=%v p99=%v (%.0f MB/s, %d ops)\n",
 		res.TTenantLatency.Mean, res.TTenantLatency.P99,
 		res.TThroughputMBps, res.TTenantLatency.Count)
-	fmt.Printf("  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
-	printFTL(res)
-	printRecovery(res)
+	fmt.Fprintf(w, "  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
+	printFTL(w, res)
+	printRecovery(w, res)
 	if breakdown {
-		fmt.Printf("  L path components: lock-wait avg=%v | completion-delay avg=%v | cross-core %.0f%%\n",
+		fmt.Fprintf(w, "  L path components: lock-wait avg=%v | completion-delay avg=%v | cross-core %.0f%%\n",
 			res.LSubmissionWait.Mean, res.LCompletionDelay.Mean, 100*res.LCrossCoreFraction)
 	}
-	return writeObsOutputs(sim, tracePath, metrics, profPath)
+	return writeObsOutputs(w, sim, tracePath, metrics, profPath)
 }
 
 // printFTL reports device-internal GC activity when the run used -ftl (or
 // a scenario with "ftl": true).
-func printFTL(res daredevil.Result) {
+func printFTL(w io.Writer, res daredevil.Result) {
 	f := res.FTL
 	if f == nil {
 		return
 	}
-	fmt.Printf("  FTL: WA=%.2f GC runs=%d (moved %d pages, %d erases, %d foreground) trimmed=%d\n",
+	fmt.Fprintf(w, "  FTL: WA=%.2f GC runs=%d (moved %d pages, %d erases, %d foreground) trimmed=%d\n",
 		f.WriteAmplification, f.GCRuns, f.GCPagesMoved, f.Erases, f.ForegroundGCs, f.TrimmedPages)
 	if f.GCPauses.Count > 0 {
-		fmt.Printf("  GC pauses: avg=%v p99=%v max=%v\n", f.GCPauses.Mean, f.GCPauses.P99, f.GCPauses.Max)
+		fmt.Fprintf(w, "  GC pauses: avg=%v p99=%v max=%v\n", f.GCPauses.Mean, f.GCPauses.P99, f.GCPauses.Max)
 	}
 }
 
 // printRecovery reports error-path activity (media errors, the
 // timeout/abort/reset ladder, host requeues, injected faults) when any
 // occurred.
-func printRecovery(res daredevil.Result) {
+func printRecovery(w io.Writer, res daredevil.Result) {
 	r := res.Recovery
 	if r == (daredevil.RecoveryCounters{}) {
 		return
 	}
-	fmt.Printf("  recovery: media-errors=%d failed-cmds=%d timeouts=%d aborts=%d (races=%d escalated=%d) resets=%d cancelled=%d\n",
+	fmt.Fprintf(w, "  recovery: media-errors=%d failed-cmds=%d timeouts=%d aborts=%d (races=%d escalated=%d) resets=%d cancelled=%d\n",
 		r.MediaErrors, r.FailedCommands, r.Timeouts, r.Aborts, r.AbortRaces, r.AbortFails, r.Resets, r.CancelledCmds)
-	fmt.Printf("  host: nsq-retries=%d requeued=%d terminal-failures=%d | injected: stalls=%d dropped-cqe=%d late-cqe=%d read-errs=%d prog-fails=%d\n",
+	fmt.Fprintf(w, "  host: nsq-retries=%d requeued=%d terminal-failures=%d | injected: stalls=%d dropped-cqe=%d late-cqe=%d read-errs=%d prog-fails=%d\n",
 		r.RetryAttempts, r.CancelRequeues, r.TerminalFailures,
 		r.Faults.StallLosses, r.Faults.DroppedCQEs, r.Faults.LateCQEs,
 		r.Faults.InjectedReadErrors, r.Faults.ProgramFailures)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,13 +45,13 @@ func TestParsedKindsBuild(t *testing.T) {
 }
 
 func TestRunConfig(t *testing.T) {
-	if err := runConfig("../../examples/scenarios/mixed.json", false, "", 0, 0, ""); err != nil {
+	if err := runConfig(io.Discard, "../../examples/scenarios/mixed.json", false, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runConfig("../../examples/scenarios/multins.json", true, "", 0, 0, ""); err != nil {
+	if err := runConfig(io.Discard, "../../examples/scenarios/multins.json", true, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := runConfig("/nonexistent.json", false, "", 0, 0, ""); err == nil {
+	if err := runConfig(io.Discard, "/nonexistent.json", false, "", 0, 0, ""); err == nil {
 		t.Fatal("missing file must error")
 	}
 }
@@ -68,7 +69,7 @@ func TestRunConfigTraced(t *testing.T) {
 	if err := os.WriteFile(path, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runConfig(path, false, "", 0, 0, ""); err != nil {
+	if err := runConfig(io.Discard, path, false, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.ReadFile(filepath.Join(dir, "traced.trace.json"))
@@ -96,7 +97,7 @@ func TestRunConfigProfiled(t *testing.T) {
 	if err := os.WriteFile(path, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runConfig(path, false, "", 0, 0, ""); err != nil {
+	if err := runConfig(io.Discard, path, false, "", 0, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.ReadFile(filepath.Join(dir, "profiled.profile.json"))
