@@ -2,13 +2,20 @@
 // storage stack and prints the aggregate results — a quick way to poke at
 // the simulator without the full experiment harness.
 //
+// The flags describe one scenario.Scenario; -config loads it from a JSON
+// file instead, and the flags given override that file's fields. ddsim
+// runs the scenario as ddserve does (Scenario.CellSpec, then
+// harness.BuildCell), and -compare sweeps its stack over every kind.
+//
 // Example:
 //
 //	ddsim -stack daredevil -l 4 -t 16 -cores 4 -measure 500ms
 //	ddsim -stack vanilla -l 4 -t 16 -namespaces 4
+//	ddsim -config examples/scenarios/aged.json -compare
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -18,7 +25,8 @@ import (
 	"strings"
 	"time"
 
-	"daredevil"
+	"daredevil/internal/harness"
+	"daredevil/internal/scenario"
 )
 
 func main() {
@@ -39,28 +47,29 @@ func main() {
 // failed run (exit status 1).
 type usageError struct{ error }
 
+func (e usageError) Unwrap() error { return e.error }
+
 func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
 
-// run parses args and runs the scenario they describe, printing the report
-// to stdout.
+// run parses args into a scenario, runs it, and prints the report to stdout.
 func run(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("ddsim", flag.ContinueOnError)
 	stack := flags.String("stack", "daredevil", "storage stack: vanilla | blk-switch | static-part | dare-base | dare-sched | daredevil")
-	compare := flags.Bool("compare", false, "run the scenario on every stack concurrently and print a comparison (ignores -stack, -breakdown, -trace, -obs-window-us)")
+	compare := flags.Bool("compare", false, "sweep the scenario over every stack concurrently and print a comparison (takes no -stack, -breakdown, -trace, -trace-limit, -prof or -obs-window-us)")
 	jobs := flags.Int("j", runtime.GOMAXPROCS(0), "parallel simulations with -compare")
 	cores := flags.Int("cores", 4, "CPU cores")
 	nL := flags.Int("l", 4, "L-tenants (4KB rand qd=1, real-time ionice)")
 	nT := flags.Int("t", 8, "T-tenants (128KB qd=32, best-effort ionice)")
 	namespaces := flags.Int("namespaces", 1, "NVMe namespaces (tenants spread round-robin)")
 	workstation := flags.Bool("wsm", false, "use the WS-M testbed (8 cores, 128 NSQs / 24 NCQs)")
-	warmup := flags.Duration("warmup", 100*time.Millisecond, "warmup window (virtual)")
-	measure := flags.Duration("measure", 400*time.Millisecond, "measurement window (virtual)")
+	warmup := flags.Duration("warmup", 100*time.Millisecond, "warmup window (virtual, whole milliseconds)")
+	measure := flags.Duration("measure", 400*time.Millisecond, "measurement window (virtual, whole milliseconds)")
 	breakdown := flags.Bool("breakdown", false, "report L-tenant path components (lock wait, completion delay, cross-core)")
 	tracePath := flags.String("trace", "", "write request lifecycle spans as Chrome trace-event JSON to this file (open at ui.perfetto.dev)")
-	traceLimit := flags.Int("trace-limit", 0, "cap the spans captured with -trace (0 = default budget)")
-	obsWindowUs := flags.Int("obs-window-us", 0, "sample queue/CPU/FTL/recovery gauges every N virtual microseconds and print the CSV after the summary")
+	traceLimit := flags.Int("trace-limit", 0, "cap the spans a trace captures (0 = default budget)")
+	obsWindowUs := flags.Int64("obs-window-us", 0, "sample queue/CPU/FTL/recovery gauges every N virtual microseconds and print the CSV after the summary")
 	profPath := flags.String("prof", "", "profile every request's virtual time by stack layer: print the breakdown table and host self-profile, write the mergeable profile JSON to this file")
-	config := flags.String("config", "", "run a JSON scenario file instead of the flag-built mix")
+	config := flags.String("config", "", "run a JSON scenario file; the other flags given override its fields (-l, -t, -namespaces and -trim shape the flag-built mix only)")
 	seed := flags.Uint64("seed", 0, "shift every tenant's random stream (0 = default streams)")
 	errorRate := flags.Float64("error-rate", 0, "inject per-command media errors with this probability (controller retries up to 3x)")
 	useFTL := flags.Bool("ftl", false, "run on an aged device with the page-mapped FTL (garbage collection, wear leveling)")
@@ -69,245 +78,134 @@ func run(args []string, stdout io.Writer) error {
 	faultProfile := flags.String("fault", "", "inject faults: brownout | lossy | wearout (window covers the 2nd quarter of -measure; arms host timeout/abort/reset recovery; wearout grows bad blocks only with -ftl)")
 	faultSeed := flags.Uint64("fault-seed", 42, "seed for the dedicated fault RNG stream (with -fault)")
 	if err := flags.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
 		return usageError{err}
 	}
+	given := map[string]bool{}
+	flags.Visit(func(f *flag.Flag) { given[f.Name] = true })
 
 	if *jobs < 1 {
 		return usagef("-j must be at least 1 (got %d)", *jobs)
 	}
-	daredevil.SetParallelism(*jobs)
+	harness.SetParallelism(*jobs)
 
+	var sc scenario.Scenario
+	label := ""
 	if *config != "" {
-		return runConfig(stdout, *config, *breakdown, *tracePath, *traceLimit, *obsWindowUs, *profPath)
-	}
-
-	warm := daredevil.Duration(warmup.Nanoseconds())
-	meas := daredevil.Duration(measure.Nanoseconds())
-
-	var m daredevil.Machine
-	if *workstation {
-		m = daredevil.WorkstationMachine()
+		if given["l"] || given["t"] || given["namespaces"] || given["trim"] {
+			return usagef("-l, -t, -namespaces and -trim shape the flag-built mix; with -config, edit the scenario's jobs")
+		}
+		data, err := os.ReadFile(*config)
+		if err != nil {
+			return err
+		}
+		if sc, err = scenario.Parse(data); err != nil {
+			return err
+		}
+		label = "scenario " + *config + ": "
 	} else {
-		m = daredevil.ServerMachine(*cores)
-	}
-	if *errorRate > 0 {
-		m.NVMe.MediaErrorRate = *errorRate
-	}
-	if *useFTL {
-		fcfg := daredevil.DefaultFTLConfig()
-		fcfg.OPPct = *opPct
-		if err := fcfg.Validate(); err != nil {
-			return usageError{err}
-		}
-		m.FTL = &fcfg
-	}
-	if *faultProfile != "" {
-		switch daredevil.FaultProfile(*faultProfile) {
-		case daredevil.FaultBrownout, daredevil.FaultLossy, daredevil.FaultWearout:
-		default:
-			return usagef("unknown fault profile %q (want brownout, lossy, or wearout)", *faultProfile)
-		}
-		fs := daredevil.DefaultFaultSchedule(daredevil.FaultProfile(*faultProfile), *faultSeed, warm, meas)
-		m.Fault = &fs
-		// A quarter of the measurement phase keeps expiry well above the
-		// device's legitimate tail under load — a too-short timeout turns
-		// queueing into false aborts and reset storms, exactly as in Linux.
-		m.NVMe.CmdTimeout = meas / 4
-	}
-	build := func(kind daredevil.StackKind) *daredevil.Simulation {
-		sim := daredevil.NewSimulation(m, kind)
-		sim.SetSeedShift(*seed)
-		if *namespaces > 1 {
-			sim.CreateNamespaces(*namespaces)
-			for i := 0; i < *nL; i++ {
-				sim.AddLTenantsNS(1, i%*namespaces)
-			}
-			for i := 0; i < *nT; i++ {
-				sim.AddTTenantsNS(1, i%*namespaces)
-			}
-		} else if *trimEvery > 0 {
-			sim.AddLTenants(*nL)
-			for i := 0; i < *nT; i++ {
-				cfg := daredevil.DefaultTTenantConfig("fio-T", i%m.Cores)
-				cfg.TrimEvery = *trimEvery
-				sim.AddJob(cfg)
-			}
-		} else {
-			sim.AddLTenants(*nL)
-			sim.AddTTenants(*nT)
-		}
-		return sim
+		sc = flagMix(*nL, *nT, *namespaces, *trimEvery)
 	}
 
+	for _, d := range []time.Duration{*warmup, *measure} {
+		if d <= 0 || d%time.Millisecond != 0 {
+			return usagef("-warmup and -measure take positive whole milliseconds (got %v)", d)
+		}
+	}
+	// A given flag overrides its scenario field. The defaults of the rest
+	// are the scenario's own, so a flag-built scenario needs nothing more.
+	overrides := map[string]func(){
+		"stack":         func() { sc.Stack = *stack },
+		"cores":         func() { sc.Cores = *cores },
+		"warmup":        func() { sc.WarmupMs = int(*warmup / time.Millisecond) },
+		"measure":       func() { sc.MeasureMs = int(*measure / time.Millisecond) },
+		"seed":          func() { sc.Seed = *seed },
+		"ftl":           func() { sc.FTL = *useFTL },
+		"op":            func() { sc.OPPct = *opPct },
+		"fault":         func() { sc.Fault = *faultProfile },
+		"fault-seed":    func() { sc.FaultSeed = *faultSeed },
+		"trace":         func() { sc.Trace = *tracePath != "" },
+		"trace-limit":   func() { sc.TraceLimit = *traceLimit },
+		"obs-window-us": func() { sc.ObsWindowUs = *obsWindowUs },
+		"prof":          func() { sc.Profile = *profPath != "" },
+	}
+	for name := range given {
+		if set := overrides[name]; set != nil {
+			set()
+		}
+	}
+	if *workstation {
+		sc.Machine = "wsm"
+	}
+	if len(sc.Sweep) > 0 {
+		return fmt.Errorf("%s has sweep axes: ddsim runs one cell, or one per stack with -compare (ddserve runs grids)", *config)
+	}
 	if *compare {
-		runCompare(stdout, build, warm, meas, *nL, *nT, m.Cores, *namespaces, *measure)
-		return nil
+		if given["stack"] || *breakdown || sc.Trace || sc.Profile || sc.ObsWindowUs > 0 {
+			return usagef("-compare prints one summary line per stack: it takes no -stack or -breakdown, and no trace, profile or gauge sampling")
+		}
+		sc.Sweep = []scenario.Axis{{Param: "stack"}}
+		for _, k := range harness.AllKinds {
+			sc.Sweep[0].Stacks = append(sc.Sweep[0].Stacks, string(k))
+		}
 	}
-
-	kind, err := parseStack(*stack)
+	// A parsed file is valid, so a scenario that fails validation here
+	// carries a bad flag.
+	points, err := sc.Expand()
 	if err != nil {
 		return usageError{err}
 	}
-
-	sim := build(kind)
-	if *breakdown {
-		sim.EnableBreakdown()
+	specs := make([]harness.CellSpec, len(points))
+	for i, p := range points {
+		if specs[i], err = p.Scenario.CellSpec(); err != nil {
+			return err
+		}
+		// -error-rate and -breakdown have no scenario field: they edit
+		// the cell spec the scenario materializes into.
+		if *errorRate > 0 {
+			specs[i].Machine.NVMe.MediaErrorRate = *errorRate
+		}
+		specs[i].Breakdown = *breakdown
 	}
-	if *tracePath != "" {
-		sim.EnableTrace(*traceLimit)
+	if *compare {
+		compareStacks(stdout, label+"comparison: "+shape(sc, specs[0]), specs)
+		return nil
 	}
-	if *obsWindowUs > 0 {
-		sim.EnableMetrics(daredevil.Duration(*obsWindowUs) * daredevil.Microsecond)
+	// A scenario-armed trace or profile without its flag lands next to
+	// the scenario file.
+	base := strings.TrimSuffix(*config, ".json")
+	if *tracePath == "" {
+		*tracePath = base + ".trace.json"
 	}
-	if *profPath != "" {
-		sim.EnableProfile()
+	if *profPath == "" {
+		*profPath = base + ".profile.json"
 	}
-
-	res := sim.Run(warm, meas)
-	fmt.Fprintf(stdout, "stack=%s cores=%d L=%d T=%d namespaces=%d (measured %v virtual)\n",
-		sim.StackName(), m.Cores, *nL, *nT, *namespaces, *measure)
-	fmt.Fprintf(stdout, "  L-tenants: avg=%v p99=%v p99.9=%v max=%v (%.2f kIOPS, %d ops)\n",
-		res.LTenantLatency.Mean, res.LTenantLatency.P99, res.LTenantLatency.P999,
-		res.LTenantLatency.Max, res.LTenantKIOPS, res.LTenantLatency.Count)
-	fmt.Fprintf(stdout, "  T-tenants: avg=%v p99=%v (%.0f MB/s, %d ops)\n",
-		res.TTenantLatency.Mean, res.TTenantLatency.P99,
-		res.TThroughputMBps, res.TTenantLatency.Count)
-	fmt.Fprintf(stdout, "  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
-	printFTL(stdout, res)
-	printRecovery(stdout, res)
-	if *breakdown {
-		fmt.Fprintf(stdout, "  L path components: lock-wait avg=%v p99=%v | completion-delay avg=%v p99=%v | cross-core %.0f%%\n",
-			res.LSubmissionWait.Mean, res.LSubmissionWait.P99,
-			res.LCompletionDelay.Mean, res.LCompletionDelay.P99,
-			100*res.LCrossCoreFraction)
-	}
-	return writeObsOutputs(stdout, sim, *tracePath, *obsWindowUs > 0, *profPath)
+	return runCell(stdout, label+"stack="+string(specs[0].Kind)+" "+shape(sc, specs[0]), specs[0], *tracePath, *profPath)
 }
 
-// writeObsOutputs emits whatever observability surfaces the run armed: the
-// Chrome trace JSON to tracePath, the sampled-gauge CSV to stdout, the
-// layer-latency breakdown + self-profile (with the profile JSON to
-// profPath), and — whenever host recovery escalated — the flight-recorder
-// dumps.
-func writeObsOutputs(w io.Writer, sim *daredevil.Simulation, tracePath string, metrics bool, profPath string) error {
-	if profPath != "" {
-		fmt.Fprintln(w)
-		if err := sim.WriteProfile(w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := sim.WriteSelfProfile(w); err != nil {
-			return err
-		}
-		f, err := os.Create(profPath)
-		if err != nil {
-			return err
-		}
-		if err := sim.Profile().WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  profile: wrote %s (merge with other runs via prof.Merge)\n", profPath)
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := sim.WriteTraceJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  trace: wrote %s (open at ui.perfetto.dev)\n", tracePath)
-	}
-	if metrics {
-		fmt.Fprintln(w)
-		if err := sim.WriteMetricsCSV(w); err != nil {
-			return err
+// flagMix is the scenario -l, -t, -namespaces and -trim describe: nL
+// L-tenants then nT T-tenants, each class spread round-robin over the
+// namespaces (one job per namespace), every T-tenant trimming every
+// trim-th request.
+func flagMix(nL, nT, namespaces, trim int) scenario.Scenario {
+	sc := scenario.Scenario{Namespaces: namespaces}
+	n := max(namespaces, 1)
+	add := func(name, class string, count, trim int) {
+		for ns := 0; ns < n && ns < count; ns++ {
+			sc.Jobs = append(sc.Jobs, scenario.Job{Name: name, Class: class,
+				Count: (count - ns + n - 1) / n, Namespace: ns, TrimEvery: trim})
 		}
 	}
-	if sim.FlightDumps() > 0 {
-		fmt.Fprintln(w)
-		if err := sim.WriteFlight(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	add("fio-L", "L", nL, 0)
+	add("fio-T", "T", nT, trim)
+	return sc
 }
 
-// allStacks is the -compare sweep order.
-var allStacks = []daredevil.StackKind{
-	daredevil.StackVanilla, daredevil.StackBlkSwitch, daredevil.StackStaticPart,
-	daredevil.StackDareBase, daredevil.StackDareSched, daredevil.StackDaredevil,
-}
-
-// runCompare runs the flag-built scenario on every stack via the harness
-// worker pool and prints one summary line per stack. Each stack gets its
-// own freshly built simulation, so the concurrent runs cannot interact.
-func runCompare(w io.Writer, build func(daredevil.StackKind) *daredevil.Simulation,
-	warm, meas daredevil.Duration, nL, nT, cores, namespaces int, measured time.Duration) {
-	results := daredevil.CompareStacks(allStacks, func(kind daredevil.StackKind) daredevil.Result {
-		return build(kind).Run(warm, meas)
-	})
-	fmt.Fprintf(w, "comparison: cores=%d L=%d T=%d namespaces=%d -j %d (measured %v virtual)\n",
-		cores, nL, nT, namespaces, daredevil.Parallelism(), measured)
-	fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s %8s\n",
-		"stack", "L avg", "L p99", "L p99.9", "L kIOPS", "T MB/s", "CPU")
-	for i, kind := range allStacks {
-		r := results[i]
-		fmt.Fprintf(w, "  %-12s %12v %12v %12v %10.2f %10.0f %7.1f%%\n",
-			string(kind), r.LTenantLatency.Mean, r.LTenantLatency.P99,
-			r.LTenantLatency.P999, r.LTenantKIOPS, r.TThroughputMBps,
-			100*r.CPUUtilization)
-	}
-}
-
-// runConfig executes a JSON scenario file. Observability comes from either
-// side: the scenario's trace/traceLimit/obsWindowUs fields arm the surfaces,
-// and the -trace / -trace-limit / -obs-window-us flags add to or override
-// them (the flag path wins for the trace output file; a scenario that set
-// "trace": true without a -trace flag writes next to the scenario file).
-func runConfig(w io.Writer, path string, breakdown bool, tracePath string, traceLimit, obsWindowUs int, profPath string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	sc, err := daredevil.ParseScenario(data)
-	if err != nil {
-		return err
-	}
-	sim, warm, measure, err := daredevil.BuildScenario(sc)
-	if err != nil {
-		return err
-	}
-	if breakdown {
-		sim.EnableBreakdown()
-	}
-	if tracePath != "" {
-		sim.EnableTrace(traceLimit)
-	} else if sc.Trace {
-		tracePath = strings.TrimSuffix(path, ".json") + ".trace.json"
-	}
-	if obsWindowUs > 0 {
-		sim.EnableMetrics(daredevil.Duration(obsWindowUs) * daredevil.Microsecond)
-	}
-	if profPath != "" {
-		sim.EnableProfile()
-	} else if sc.Profile {
-		profPath = strings.TrimSuffix(path, ".json") + ".profile.json"
-	}
-	metrics := obsWindowUs > 0 || sc.ObsWindowUs > 0
-	res := sim.Run(warm, measure)
-	fmt.Fprintf(w, "scenario %s: stack=%s (measured %v virtual)\n", path, sim.StackName(), measure)
+// runCell runs one cell and prints its report under header, then writes
+// every observability output the cell armed.
+func runCell(w io.Writer, header string, spec harness.CellSpec, tracePath, profPath string) error {
+	cell := harness.BuildCell(spec)
+	res := cell.Run(spec.Warmup, spec.Measure)
+	fmt.Fprintf(w, "%s (measured %v virtual)\n", header, spec.Measure)
 	fmt.Fprintf(w, "  L-tenants: avg=%v p99=%v p99.9=%v (%.2f kIOPS, %d ops)\n",
 		res.LTenantLatency.Mean, res.LTenantLatency.P99, res.LTenantLatency.P999,
 		res.LTenantKIOPS, res.LTenantLatency.Count)
@@ -315,53 +213,91 @@ func runConfig(w io.Writer, path string, breakdown bool, tracePath string, trace
 		res.TTenantLatency.Mean, res.TTenantLatency.P99,
 		res.TThroughputMBps, res.TTenantLatency.Count)
 	fmt.Fprintf(w, "  CPU utilization: %.1f%%\n", 100*res.CPUUtilization)
-	printFTL(w, res)
-	printRecovery(w, res)
-	if breakdown {
+	if f := res.FTL; f != nil {
+		fmt.Fprintf(w, "  FTL: WA=%.2f GC runs=%d (moved %d pages, %d erases, %d foreground) trimmed=%d\n",
+			f.WriteAmplification, f.GCRuns, f.GCPagesMoved, f.Erases, f.ForegroundGCs, f.TrimmedPages)
+		if f.GCPauses.Count > 0 {
+			fmt.Fprintf(w, "  GC pauses: avg=%v p99=%v max=%v\n", f.GCPauses.Mean, f.GCPauses.P99, f.GCPauses.Max)
+		}
+	}
+	if r := res.Recovery; r != (harness.RecoveryCounters{}) {
+		fmt.Fprintf(w, "  recovery: media-errors=%d failed-cmds=%d timeouts=%d aborts=%d (races=%d escalated=%d) resets=%d cancelled=%d\n",
+			r.MediaErrors, r.FailedCommands, r.Timeouts, r.Aborts, r.AbortRaces, r.AbortFails, r.Resets, r.CancelledCmds)
+		fmt.Fprintf(w, "  host: nsq-retries=%d requeued=%d terminal-failures=%d | injected: stalls=%d dropped-cqe=%d late-cqe=%d read-errs=%d prog-fails=%d\n",
+			r.RetryAttempts, r.CancelRequeues, r.TerminalFailures,
+			r.Faults.StallLosses, r.Faults.DroppedCQEs, r.Faults.LateCQEs,
+			r.Faults.InjectedReadErrors, r.Faults.ProgramFailures)
+	}
+	if spec.Breakdown {
 		fmt.Fprintf(w, "  L path components: lock-wait avg=%v | completion-delay avg=%v | cross-core %.0f%%\n",
 			res.LSubmissionWait.Mean, res.LCompletionDelay.Mean, 100*res.LCrossCoreFraction)
 	}
-	return writeObsOutputs(w, sim, tracePath, metrics, profPath)
-}
-
-// printFTL reports device-internal GC activity when the run used -ftl (or
-// a scenario with "ftl": true).
-func printFTL(w io.Writer, res daredevil.Result) {
-	f := res.FTL
-	if f == nil {
-		return
+	if spec.Profile {
+		fmt.Fprintln(w)
+		if err := cell.WriteProfileTable(w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		if err := cell.WriteSelfProfile(w); err != nil {
+			return err
+		}
+		if err := writeFile(profPath, res.Profile.WriteJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  profile: wrote %s (merge with other runs via prof.Merge)\n", profPath)
 	}
-	fmt.Fprintf(w, "  FTL: WA=%.2f GC runs=%d (moved %d pages, %d erases, %d foreground) trimmed=%d\n",
-		f.WriteAmplification, f.GCRuns, f.GCPagesMoved, f.Erases, f.ForegroundGCs, f.TrimmedPages)
-	if f.GCPauses.Count > 0 {
-		fmt.Fprintf(w, "  GC pauses: avg=%v p99=%v max=%v\n", f.GCPauses.Mean, f.GCPauses.P99, f.GCPauses.Max)
+	if spec.Trace {
+		if err := writeFile(tracePath, cell.WriteTraceJSON); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  trace: wrote %s (open at ui.perfetto.dev)\n", tracePath)
 	}
-}
-
-// printRecovery reports error-path activity (media errors, the
-// timeout/abort/reset ladder, host requeues, injected faults) when any
-// occurred.
-func printRecovery(w io.Writer, res daredevil.Result) {
-	r := res.Recovery
-	if r == (daredevil.RecoveryCounters{}) {
-		return
-	}
-	fmt.Fprintf(w, "  recovery: media-errors=%d failed-cmds=%d timeouts=%d aborts=%d (races=%d escalated=%d) resets=%d cancelled=%d\n",
-		r.MediaErrors, r.FailedCommands, r.Timeouts, r.Aborts, r.AbortRaces, r.AbortFails, r.Resets, r.CancelledCmds)
-	fmt.Fprintf(w, "  host: nsq-retries=%d requeued=%d terminal-failures=%d | injected: stalls=%d dropped-cqe=%d late-cqe=%d read-errs=%d prog-fails=%d\n",
-		r.RetryAttempts, r.CancelRequeues, r.TerminalFailures,
-		r.Faults.StallLosses, r.Faults.DroppedCQEs, r.Faults.LateCQEs,
-		r.Faults.InjectedReadErrors, r.Faults.ProgramFailures)
-}
-
-func parseStack(s string) (daredevil.StackKind, error) {
-	for _, k := range []daredevil.StackKind{
-		daredevil.StackVanilla, daredevil.StackBlkSwitch, daredevil.StackStaticPart,
-		daredevil.StackDareBase, daredevil.StackDareSched, daredevil.StackDaredevil,
-	} {
-		if string(k) == s {
-			return k, nil
+	if spec.MetricsWindow > 0 {
+		fmt.Fprintln(w)
+		if err := cell.WriteMetricsCSV(w); err != nil {
+			return err
 		}
 	}
-	return "", fmt.Errorf("unknown stack %q", s)
+	if cell.FlightDumps() > 0 {
+		fmt.Fprintln(w)
+		return cell.WriteFlight(w)
+	}
+	return nil
+}
+
+// compareStacks runs the cells of a stack sweep on the harness worker
+// pool, each on its own engine, and prints one summary line per stack —
+// the same table at any -j.
+func compareStacks(w io.Writer, header string, specs []harness.CellSpec) {
+	results := harness.RunCells(len(specs), func(i int) harness.CellResult {
+		return harness.RunCellSpec(specs[i])
+	})
+	fmt.Fprintf(w, "%s -j %d (measured %v virtual)\n", header, harness.Parallelism(), specs[0].Measure)
+	fmt.Fprintf(w, "  %-12s %12s %12s %12s %10s %10s %8s\n",
+		"stack", "L avg", "L p99", "L p99.9", "L kIOPS", "T MB/s", "CPU")
+	for i, r := range results {
+		fmt.Fprintf(w, "  %-12s %12v %12v %12v %10.2f %10.0f %7.1f%%\n",
+			string(specs[i].Kind), r.LTenantLatency.Mean, r.LTenantLatency.P99,
+			r.LTenantLatency.P999, r.LTenantKIOPS, r.TThroughputMBps,
+			100*r.CPUUtilization)
+	}
+}
+
+// shape describes a cell's machine and tenant mix for the report header.
+func shape(sc scenario.Scenario, spec harness.CellSpec) string {
+	tenants := map[string]int{}
+	for _, j := range sc.Jobs {
+		tenants[j.Class] += j.Count
+	}
+	return fmt.Sprintf("cores=%d L=%d T=%d namespaces=%d",
+		spec.Machine.Cores, tenants["L"], tenants["T"], max(spec.Namespaces, 1))
+}
+
+// writeFile fills path with what write renders.
+func writeFile(path string, write func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

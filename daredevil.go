@@ -103,26 +103,6 @@ func DefaultFTLConfig() FTLConfig { return ftl.DefaultConfig() }
 // recovery armed; leave it nil for a healthy device.
 type FaultSchedule = fault.Schedule
 
-// FaultProfile names a canned fault schedule (see DefaultFaultSchedule).
-type FaultProfile = harness.FaultProfile
-
-// Canned fault profiles.
-const (
-	// FaultBrownout stalls a run of chips for the fault window.
-	FaultBrownout = harness.FaultBrownout
-	// FaultLossy drops and delays CQEs and pauses command fetch.
-	FaultLossy = harness.FaultLossy
-	// FaultWearout ramps the read error rate and fails programs.
-	FaultWearout = harness.FaultWearout
-)
-
-// DefaultFaultSchedule builds the named profile with its fault window
-// covering the second quarter of the measurement phase — onset, steady fault
-// pressure, and post-window recovery all land inside measurement.
-func DefaultFaultSchedule(profile FaultProfile, seed uint64, warmup, measure Duration) FaultSchedule {
-	return harness.ExtFaultSchedule(profile, seed, warmup+measure/4, warmup+measure/2)
-}
-
 // RecoveryCounters aggregates error-path activity: device media errors, the
 // timeout → abort → controller-reset ladder, host-side requeue verdicts, and
 // injected fault hits. All zero on a healthy run.
@@ -247,11 +227,6 @@ func (s *Simulation) AddMailserver(core int) *MailApp {
 	return app
 }
 
-// SetSeedShift perturbs the random streams of every tenant added
-// afterwards, for re-running an otherwise-identical experiment with fresh
-// draws. Zero keeps the default streams.
-func (s *Simulation) SetSeedShift(shift uint64) { s.cell.Mix.SeedShift = shift }
-
 // EnableTrace collects per-request lifecycle spans for up to limit requests
 // (a default budget when limit <= 0) and arms the flight recorder. Call
 // before Run; render afterwards with WriteTrace (phase table),
@@ -354,17 +329,6 @@ func (s *Simulation) Run(warmup, measure Duration) Result {
 // results are identical at any setting. n < 1 panics; CLIs validate user
 // input before calling.
 func SetParallelism(n int) { harness.SetParallelism(n) }
-
-// Parallelism reports the current experiment fan-out.
-func Parallelism() int { return harness.Parallelism() }
-
-// CompareStacks builds and runs one simulation per stack kind on the
-// experiment worker pool and returns the results in kind order. run must
-// build a fresh Simulation per call — cells share nothing, which is what
-// makes the fan-out deterministic.
-func CompareStacks(kinds []StackKind, run func(StackKind) Result) []Result {
-	return harness.RunCells(len(kinds), func(i int) Result { return run(kinds[i]) })
-}
 
 // Scale controls experiment durations for RunExperiment.
 type Scale = harness.Scale

@@ -1,9 +1,9 @@
 // Package scenario defines the declarative JSON scenario format shared by
-// the ddsim CLI and the ddserve capacity-planning daemon. A Scenario
-// describes one multi-tenant cell (machine, stack, windows, tenant jobs,
-// fault/FTL/observability switches) and materializes into a
-// harness.CellSpec; the ddserve extensions — a seed shift and sweep axes —
-// turn one document into a deterministic grid of cells.
+// the ddsim CLI (whose flags build a Scenario too) and the ddserve daemon.
+// A Scenario describes one multi-tenant cell (machine, stack, windows,
+// tenant jobs, fault/FTL/observability switches) and materializes into a
+// harness.CellSpec; a seed shift and sweep axes turn one document into a
+// deterministic grid of cells (ddserve's grids, ddsim -compare's stacks).
 package scenario
 
 import (
@@ -98,9 +98,9 @@ type Scenario struct {
 
 	Jobs []Job `json:"jobs"`
 
-	// Sweep is the ddserve grid extension: each axis multiplies the
-	// scenario into one cell per value (cartesian product across axes).
-	// ddsim runs single cells only and rejects scenarios with sweep axes.
+	// Sweep multiplies the scenario into one cell per axis value
+	// (cartesian product across axes). ddserve runs any grid; ddsim runs
+	// one cell, and its -compare adds a "stack" axis over every kind.
 	Sweep []Axis `json:"sweep,omitempty"`
 }
 
