@@ -39,6 +39,33 @@ func copyScenario(t *testing.T, name string) string {
 	return path
 }
 
+// TestParseStackKnown: every stack name the -stack help lists resolves to
+// that stack, and the run's header names it.
+func TestParseStackKnown(t *testing.T) {
+	for _, name := range []string{
+		"vanilla", "blk-switch", "static-part", "dare-base", "dare-sched", "daredevil",
+	} {
+		out := ddsim(t, "-stack", name, "-cores", "2", "-l", "1", "-t", "1",
+			"-warmup", "1ms", "-measure", "1ms")
+		if !strings.Contains(out, "stack="+name+" ") {
+			t.Fatalf("-stack %s ran some other stack:\n%s", name, out)
+		}
+	}
+}
+
+// TestParseStackUnknown: an unknown -stack name is a usage error that names
+// it, and nothing runs.
+func TestParseStackUnknown(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-stack", "bogus"}, &out)
+	if !isUsage(err) || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("-stack bogus: got %v, want a usage error naming the stack", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("-stack bogus printed output:\n%s", out.String())
+	}
+}
+
 func TestParsedKindsBuild(t *testing.T) {
 	for _, kind := range harness.AllKinds {
 		out := ddsim(t, "-stack", string(kind), "-cores", "2", "-l", "1", "-t", "1",
